@@ -122,15 +122,15 @@ _REORDER_CIRCUITS = ("C1355", "C499", "C880")
 def _global_sift_once(cname):
     """Build the monolithic global BDD of a circuit and sift it once."""
     from repro.circuits import build_circuit
-    from repro.verify.cec import _global_bdd, _initial_order
+    from repro.network.cones import global_bdd, initial_order
 
     net = build_circuit(cname)
     mgr = BDD()
-    var_of = {name: mgr.new_var(name) for name in _initial_order(net)}
+    var_of = {name: mgr.new_var(name) for name in initial_order(net)}
     cache = {}
     roots = []
     for out in net.outputs:
-        ref = _global_bdd(mgr, net, out, var_of, cache, size_cap=10 ** 9)
+        ref = global_bdd(mgr, net, out, var_of, cache, size_cap=10 ** 9)
         roots.append(mgr.register_root(ref))
     before = live_node_count(mgr, roots)
     t0 = time.perf_counter()

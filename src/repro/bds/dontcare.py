@@ -99,7 +99,7 @@ def minimize_with_sdc(part: PartitionedNetwork, global_cap: int = 3000,
         onset = mgr.and_(ref, care)
         minimized = minimize_with_dc(mgr, onset, care ^ 1)
         if minimized != ref and node_count(mgr, minimized) <= node_count(mgr, ref):
-            part.refs[name] = minimized
+            part.set_ref(name, minimized)
             # Downstream global functions must see the minimized node...
             # but on the care set the function is unchanged, so cached
             # globals remain valid images.

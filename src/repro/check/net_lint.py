@@ -13,7 +13,10 @@ states those assumptions as checks over both network representations:
   the same signal-graph invariants restated over BDD supports, plus
   ref-ownership checks (every node's BDD ref must be a live ref of the
   partition's *own* manager -- a ref smuggled across managers indexes
-  unrelated storage and silently denotes a different function).
+  unrelated storage and silently denotes a different function) and (at
+  ``full`` level) the partition's incremental fanout index: its cached
+  fanins, consumer lists and used-signal count must equal a fresh
+  recompute from the BDD supports.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ INV_UNDRIVEN_OUTPUT = "undriven_output"
 INV_ORPHAN_NODE = "orphan_node"
 INV_FOREIGN_REF = "foreign_bdd_ref"
 INV_SIG_VAR = "signal_variable_map"
+INV_FANOUT_INDEX = "fanout_index"
 
 MAX_VIOLATIONS = 25
 
@@ -142,6 +146,8 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
     if cycle:
         report.add(INV_CYCLE, "combinational cycle through local BDDs: %s"
                    % " -> ".join(cycle + cycle[:1]), signals=tuple(cycle))
+    if level == "full" and len(fanin_graph) == len(part.refs):
+        _check_fanout_index(part, fanin_graph, report)
     report.stats["nodes"] = len(part.refs)
     report.stats["outputs"] = len(part.outputs)
     if report.violations and raise_on_violation:
@@ -218,6 +224,33 @@ def _find_cycle(fanin_graph: Dict[str, List[str]]) -> List[str]:
                     parent[f] = name
                     stack.append((f, 0))
     return []
+
+
+def _check_fanout_index(part: "PartitionedNetwork",
+                        fanin_graph: Dict[str, List[str]],
+                        report: CheckReport) -> None:
+    """The partition's cached fanins and fanout index equal a fresh
+    recompute from supports (``fanin_graph``, in ``refs`` order).  The
+    index keys only read signals, so equal maps also mean an equal
+    used-signal count."""
+    fresh: Dict[str, List[str]] = {}
+    for name, fanins in fanin_graph.items():
+        cached = sorted(part._supports.get(name, ()))
+        if cached != sorted(fanins) and len(report.violations) < MAX_VIOLATIONS:
+            report.add(INV_FANOUT_INDEX,
+                       "node %r: cached fanins %r but its BDD reads %r"
+                       % (name, cached, sorted(fanins)), signals=(name,))
+        for sig in fanins:
+            fresh.setdefault(sig, []).append(name)
+    index = part.fanouts()
+    for sig in sorted(set(index) | set(fresh)):
+        if len(report.violations) >= MAX_VIOLATIONS:
+            return
+        if index.get(sig) != fresh.get(sig):
+            report.add(INV_FANOUT_INDEX,
+                       "signal %r: fanout index lists %r but supports give"
+                       " %r" % (sig, index.get(sig), fresh.get(sig)),
+                       signals=(sig,))
 
 
 def _check_orphans(net: "Network", report: CheckReport) -> None:

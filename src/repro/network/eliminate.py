@@ -15,6 +15,7 @@ Two variants, mirroring Fig. 12:
 
 from __future__ import annotations
 
+from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.bdd import BDD, ONE, ZERO, transfer_many
@@ -157,10 +158,16 @@ class PartitionedNetwork:
         # Kernel counters of managers retired by compact(); merge these
         # with the live manager's snapshot for full-flow accounting.
         self.perf_history: List[Dict[str, float]] = []
-        # Per-node support cache (name -> var-id set).  Eliminate's value
-        # loop consults fanouts/pollution after every collapse; caching
-        # supports avoids retraversing every live BDD each time.
-        self._supports: Dict[str, Set[int]] = {}
+        # Signal-graph index, kept current by set_ref()/_drop(): each
+        # node's support as signal names, and each read signal's consumers
+        # in ``refs`` order.  Eliminate asks for a node's fanouts and the
+        # manager's pollution after every collapse; the index answers both
+        # without retraversing every live BDD.  Only signals with at least
+        # one reader are keys, so len(_fanouts) is the used-signal count.
+        self._supports: Dict[str, Set[str]] = {}
+        self._fanouts: Dict[str, List[str]] = {}
+        self._rank: Dict[str, int] = {}  # position in refs, for ordering
+        self._ranks = count()
 
     # -- construction ---------------------------------------------------
 
@@ -180,48 +187,66 @@ class PartitionedNetwork:
                 for l in cube:
                     term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
                 acc = mgr.or_(acc, term)
-            part.refs[node.name] = acc
+            part.set_ref(node.name, acc)
             # Safe GC point: every ref still needed is in part.refs (fanin
             # literal nodes are recreated on demand by var_ref).
             mgr.maybe_collect(part.refs.values())
         return part
 
+    # -- updates ----------------------------------------------------------
+
+    def set_ref(self, name: str, ref: int) -> None:
+        """Install ``ref`` as node ``name``'s local BDD.
+
+        Every write to ``refs`` goes through here (or :meth:`_drop`), so
+        the support cache and the fanout index stay exact: only the
+        signals whose readership changed are touched.
+        """
+        if name not in self.refs:
+            self._rank[name] = next(self._ranks)
+        old = self._supports.get(name, set())
+        new = {self.mgr.var_name(v) for v in support(self.mgr, ref)}
+        self.refs[name] = ref
+        self._supports[name] = new
+        for sig in old - new:
+            self._unread(sig, name)
+        rank = self._rank[name]
+        for sig in new - old:
+            readers = self._fanouts.setdefault(sig, [])
+            i = len(readers)
+            while i and self._rank[readers[i - 1]] > rank:
+                i -= 1
+            readers.insert(i, name)
+
+    def _drop(self, name: str) -> None:
+        """Delete node ``name`` and its entries in the index."""
+        del self.refs[name]
+        for sig in self._supports.pop(name):
+            self._unread(sig, name)
+
+    def _unread(self, sig: str, name: str) -> None:
+        readers = self._fanouts[sig]
+        readers.remove(name)
+        if not readers:
+            del self._fanouts[sig]
+
     # -- queries ----------------------------------------------------------
 
-    def _support_of(self, name: str) -> Set[int]:
-        """Cached support of a node's BDD; invalidated when its ref moves."""
-        s = self._supports.get(name)
-        if s is None:
-            s = support(self.mgr, self.refs[name])
-            self._supports[name] = s
-        return s
-
-    def _invalidate_support(self, name: str) -> None:
-        self._supports.pop(name, None)
-
     def fanin_signals(self, name: str) -> List[str]:
-        var_names = [self.mgr.var_name(v) for v in self._support_of(name)]
-        return sorted(var_names)
+        return sorted(self._supports[name])
 
     def fanouts(self) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {}
-        for name in self.refs:
-            for v in self._support_of(name):
-                out.setdefault(self.mgr.var_name(v), []).append(name)
-        return out
+        """Signal -> consumer nodes, in ``refs`` order (a copy)."""
+        return {sig: list(readers) for sig, readers in self._fanouts.items()}
 
     def total_bdd_nodes(self) -> int:
         return shared_node_count(self.mgr, list(self.refs.values()))
 
     def remove_dangling(self) -> int:
-        used: Set[str] = set(self.outputs)
-        for name in self.refs:
-            for v in self._support_of(name):
-                used.add(self.mgr.var_name(v))
-        dead = [n for n in self.refs if n not in used]
+        dead = [n for n in self.refs
+                if n not in self._fanouts and n not in self.outputs]
         for n in dead:
-            del self.refs[n]
-            self._invalidate_support(n)
+            self._drop(n)
         return len(dead)
 
     # -- the eliminate loop ----------------------------------------------
@@ -244,14 +269,12 @@ class PartitionedNetwork:
         mgr = self.mgr
         for _ in range(max_passes):
             changed = False
-            fanouts = self.fanouts()
             for name in list(self.refs):
                 if name in self.outputs or name not in self.refs:
                     continue
-                consumers = [c for c in fanouts.get(name, []) if c in self.refs]
+                consumers = list(self._fanouts.get(name, ()))
                 if not consumers:
-                    del self.refs[name]
-                    self._invalidate_support(name)
+                    self._drop(name)
                     changed = True
                     continue
                 var = self.sig_var[name]
@@ -274,12 +297,9 @@ class PartitionedNetwork:
                     mgr.maybe_collect(self.refs.values())
                     continue
                 for c, merged in new_refs.items():
-                    self.refs[c] = merged
-                    self._invalidate_support(c)
-                del self.refs[name]
-                self._invalidate_support(name)
+                    self.set_ref(c, merged)
+                self._drop(name)
                 changed = True
-                fanouts = self.fanouts()
                 # Dead-node sweep at a safe point: the collapse is merged,
                 # so self.refs is the complete live root set.
                 mgr.maybe_collect(self.refs.values())
@@ -289,7 +309,6 @@ class PartitionedNetwork:
                 if use_mapping and self._pollution() > mapping_trigger:
                     self.compact()
                     mgr = self.mgr
-                    fanouts = self.fanouts()
                     if checker is not None:
                         checker.check_partition(self, "after BDD mapping",
                                                 quick=True)
@@ -303,13 +322,10 @@ class PartitionedNetwork:
 
     def _pollution(self) -> float:
         """Fraction of manager variables that no live BDD uses."""
-        used: Set[int] = set()
-        for name in self.refs:
-            used |= self._support_of(name)
         total = self.mgr.num_vars
         if not total:
             return 0.0
-        return 1.0 - len(used) / total
+        return 1.0 - len(self._fanouts) / total
 
     def compact(self) -> None:
         """BDD mapping (Section IV-B): rebuild all live BDDs in a fresh
@@ -333,8 +349,7 @@ class PartitionedNetwork:
                 self.sig_var[sig] = new_mgr.new_var(sig)
         self.mgr = new_mgr
         self.mapping_count += 1
-        # Var ids changed wholesale; every cached support is stale.
-        self._supports.clear()
+        # The index is keyed by signal name, which the transfer keeps.
 
     # -- conversion back to a cube network --------------------------------
 

@@ -265,10 +265,10 @@ def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
 
     # Exact confirmation with bounded global BDDs (FORCE-ordered inputs
     # keep structured circuits like shifters from blowing the cap).
-    from repro.verify.cec import _initial_order
+    from repro.network.cones import initial_order
 
     mgr = BDD()
-    pi_var = {i: mgr.var_ref(mgr.new_var(i)) for i in _initial_order(net)}
+    pi_var = {i: mgr.var_ref(mgr.new_var(i)) for i in initial_order(net)}
     global_bdd: Dict[str, Optional[int]] = dict(pi_var)
 
     # Overall work budget: once the manager holds this many nodes, stop

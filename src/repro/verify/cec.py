@@ -1,6 +1,6 @@
 """BDD-based combinational equivalence checking.
 
-Builds global BDDs (one manager, FORCE-derived initial order) for both
+Builds global BDDs (one manager, oriented FORCE order) for both
 networks output-by-output and compares canonical refs -- exactly how both
 BDS and SIS verify synthesis results (Section V).  A node-count cap guards
 against blowup; capped outputs are reported as ``unknown`` and should be
@@ -12,8 +12,9 @@ from __future__ import annotations
 import time
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.bdd import BDD, BddBudgetExceeded, ONE, ZERO, force_order
+from repro.bdd import BDD
 from repro.bdd.traverse import pick_assignment
+from repro.network.cones import global_bdd, initial_order
 from repro.network.network import Network
 
 
@@ -52,7 +53,7 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
         raise ValueError("output sets differ")
 
     mgr = BDD()
-    order = _initial_order(a)
+    order = initial_order(a)
     var_of: Dict[str, int] = {}
     for name in order:
         var_of[name] = mgr.new_var(name)
@@ -65,8 +66,8 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
         if deadline is not None and time.monotonic() > deadline:
             unknown.append(out)
             continue
-        ref_a = _global_bdd(mgr, a, out, var_of, cache_a, size_cap, deadline)
-        ref_b = _global_bdd(mgr, b, out, var_of, cache_b, size_cap, deadline)
+        ref_a = global_bdd(mgr, a, out, var_of, cache_a, size_cap, deadline)
+        ref_b = global_bdd(mgr, b, out, var_of, cache_b, size_cap, deadline)
         if ref_a is None or ref_b is None:
             unknown.append(out)
             continue
@@ -77,81 +78,3 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
             return EquivalenceResult(False, checked, unknown, cex, out)
         checked.append(out)
     return EquivalenceResult(len(unknown) == 0, checked, unknown, None, None)
-
-
-def _initial_order(net: Network) -> List[str]:
-    """FORCE ordering over node supports for a decent global order."""
-    names = list(net.inputs)
-    index = {n: i for i, n in enumerate(names)}
-    groups = []
-    # Hyperedges: transitive input support of each node, approximated by
-    # direct PI fanins per node cone frontier (cheap but effective).
-    pi_support: Dict[str, set] = {i: {i} for i in net.inputs}
-    for node in net.topological():
-        supp = set()
-        for f in node.fanins:
-            supp |= pi_support.get(f, set())
-        pi_support[node.name] = supp
-    for out in net.outputs:
-        supp = pi_support.get(out, {out} if out in net.inputs else set())
-        if supp:
-            groups.append([index[s] for s in supp])
-    order_idx = force_order(groups, len(names))
-    return [names[i] for i in order_idx]
-
-
-#: Allocation granularity of the abort check: the kernel interrupts the
-#: build every this-many fresh nodes so a single deep operator call cannot
-#: blow past the work cap or the deadline unchecked.
-_BUDGET_CHUNK = 4096
-
-
-def _global_bdd(mgr: BDD, net: Network, output: str, var_of: Dict[str, int],
-                cache: Dict[str, Optional[int]], size_cap: int,
-                deadline: Optional[float] = None) -> Optional[int]:
-    """Global BDD of one output; None when the work budget runs out.
-
-    The work cap is enforced by the kernel itself: the manager's
-    allocation limit is advanced in :data:`_BUDGET_CHUNK` steps, and at
-    every :class:`BddBudgetExceeded` interrupt we either give up (cap or
-    deadline exhausted) or extend the window and resume.  Resuming is
-    cheap -- completed nodes sit in ``cache`` and the operator caches
-    replay the partial work.
-    """
-    budget_start = mgr.perf.nodes_allocated
-
-    def exhausted() -> bool:
-        if mgr.perf.nodes_allocated - budget_start >= size_cap:
-            return True
-        return deadline is not None and time.monotonic() > deadline
-
-    def build(name: str) -> int:
-        if name in var_of and name not in net.nodes:
-            return mgr.var_ref(var_of[name])
-        ref = cache.get(name)
-        if ref is not None:
-            return ref
-        node = net.nodes[name]
-        fanin_refs = [build(f) for f in node.fanins]
-        acc = ZERO
-        for cube in node.cover:
-            term = ONE
-            for l in cube:
-                term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
-                if term == ZERO:
-                    break
-            acc = mgr.or_(acc, term)
-        cache[name] = acc
-        return acc
-
-    try:
-        while True:
-            mgr.set_alloc_limit(min(budget_start + size_cap,
-                                    mgr.perf.nodes_allocated + _BUDGET_CHUNK))
-            try:
-                return build(output)
-            except BddBudgetExceeded:
-                if exhausted():
-                    return None
-    finally:
-        mgr.set_alloc_limit(None)

@@ -9,6 +9,7 @@ from repro.check.net_lint import (
     INV_DANGLING_FANIN,
     INV_DUPLICATE_FANIN,
     INV_DUPLICATE_OUTPUT,
+    INV_FANOUT_INDEX,
     INV_FOREIGN_REF,
     INV_ORPHAN_NODE,
     INV_UNDRIVEN_OUTPUT,
@@ -118,6 +119,17 @@ def test_partition_lint_clean_and_foreign_ref():
     report = lint_partition(part, raise_on_violation=False)
     assert INV_FOREIGN_REF in report.invariants()
     assert name in {s for v in report.violations for s in v.signals}
+
+
+def test_partition_lint_fanout_index_full_level():
+    part = PartitionedNetwork.from_network(parse_blif(GOOD))
+    assert lint_partition(part).ok
+    part._fanouts["t"].remove("y")  # the index forgets that y reads t
+    assert INV_FANOUT_INDEX not in lint_partition(
+        part, level="cheap", raise_on_violation=False).invariants()
+    report = lint_partition(part, raise_on_violation=False)
+    assert report.invariants() == [INV_FANOUT_INDEX]
+    assert "t" in {s for v in report.violations for s in v.signals}
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ import random
 from repro.bdd.traverse import node_count, support
 from repro.bds import BDSOptions, bds_optimize
 from repro.bds.dontcare import minimize_with_sdc
-from repro.network import Network
+from repro.circuits import build_circuit
+from repro.network import Network, sweep
 from repro.network.eliminate import PartitionedNetwork
 from repro.sop.cube import lit
 from repro.verify import check_equivalence
@@ -83,6 +84,23 @@ class TestMinimizeWithSdc:
         assert check_equivalence(ref, back).equivalent
         # z should have been reduced to just s (support of one signal).
         assert len(support(part.mgr, part.refs["z"])) == 1
+
+    def test_signal_graph_current_after_eliminate(self):
+        # Without BDD mapping nothing rebuilds the partition's support
+        # cache between eliminate and SDC, so SDC's rewrites must keep it
+        # (and the fanout index) current themselves.
+        net = sweep(build_circuit("C880"))
+        part = PartitionedNetwork.from_network(net)
+        part.eliminate(use_mapping=False)
+        assert minimize_with_sdc(part) > 0
+        fresh = {}
+        for name, ref in part.refs.items():
+            fanins = sorted(part.mgr.var_name(v)
+                            for v in support(part.mgr, ref))
+            assert part.fanin_signals(name) == fanins, name
+            for sig in fanins:
+                fresh.setdefault(sig, []).append(name)
+        assert part.fanouts() == fresh
 
     def test_flow_option(self):
         net = _unreachable_pattern_network()

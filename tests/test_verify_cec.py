@@ -1,8 +1,12 @@
 """Tests for the equivalence checkers: BDD CEC edge cases, exhaustive
-simulation, and the unified verify runner."""
+simulation, the unified verify runner, and adder proof scaling."""
+
+import math
 
 import pytest
 
+import repro.verify.cec as cec
+from repro.bds import bds_optimize
 from repro.circuits import build_circuit
 from repro.network import Network, parse_blif
 from repro.sop.cube import lit
@@ -150,3 +154,48 @@ class TestVerifyRunner:
         net = build_circuit("add4")
         with pytest.raises(ValueError):
             verify_networks(net, net.copy(), mode="nope")
+
+
+class TestAdderScaling:
+    """BDD verification of adders is polynomial (Drechsler, arXiv
+    2104.03024): the checker must prove every output of an optimized
+    adder, with work growing about linearly in the width."""
+
+    @staticmethod
+    def _checker_ite_calls(monkeypatch, name):
+        spec = build_circuit(name)
+        impl = bds_optimize(spec).network
+        managers = []
+        make = cec.BDD
+
+        def keep_manager():
+            mgr = make()
+            managers.append(mgr)
+            return mgr
+
+        with monkeypatch.context() as m:
+            m.setattr(cec, "BDD", keep_manager)
+            result = check_equivalence(spec, impl)
+        assert result.equivalent, name
+        assert not result.unknown_outputs, name
+        assert result.checked_outputs == list(spec.outputs)
+        [mgr] = managers
+        return mgr.perf.ite_calls
+
+    @staticmethod
+    def _exponent(widths, calls):
+        """Least-squares slope of log(calls) against log(width)."""
+        xs = [math.log(w) for w in widths]
+        ys = [math.log(c) for c in calls]
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                / sum((x - mx) ** 2 for x in xs))
+
+    @pytest.mark.parametrize("family, widths", [
+        ("add", (32, 64, 128, 256)),     # ripple carry
+        ("cla", (32, 64, 128)),          # carry lookahead
+    ])
+    def test_proof_work_grows_linearly(self, monkeypatch, family, widths):
+        calls = [self._checker_ite_calls(monkeypatch, "%s%d" % (family, w))
+                 for w in widths]
+        assert self._exponent(widths, calls) <= 1.3, calls
