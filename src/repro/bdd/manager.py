@@ -938,6 +938,15 @@ class BDD:
         self._autoreorder_threshold = None
         self._reorder_pending = False
 
+    @property
+    def autoreorder(self) -> Optional[Tuple[int, str]]:
+        """``(threshold, method)`` while armed, else None.  The threshold
+        is the current one: each firing raises it (see
+        :meth:`enable_autoreorder`)."""
+        if self._autoreorder_threshold is None:
+            return None
+        return (self._autoreorder_threshold, self._autoreorder_method)
+
     def _fire_autoreorder(self, extra_roots: Sequence[int]) -> None:
         """Run the armed reorder method at a safe point (maybe_collect)."""
         self._reorder_pending = False

@@ -24,17 +24,19 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bdd import transfer_many
+from repro.bdd import BDD, transfer_many
 from repro.bdd.reorder import sift
 from repro.bdd.serialize import dumps as bdd_dumps, loads as bdd_loads
+from repro.bds.dontcare import minimize_with_sdc
 from repro.check import Checker, sanitize_bdd
-from repro.decomp import extract_sharing, trees_to_network
+from repro.decomp import FTree, extract_sharing, trees_to_network
+from repro.decomp.balance import balance_forest
 from repro.decomp.engine import DecompOptions, DecompStats, decompose
 from repro.network import Network, sweep
 from repro.network.eliminate import PartitionedNetwork
-from repro.obs.trace import NULL_TRACER, Span, Tracer
+from repro.obs.trace import CounterSource, Span, Tracer
 from repro.perf import merge_snapshots
 from repro.verify import VERIFY_MODES, require_equivalent
 
@@ -141,18 +143,23 @@ class BDSOptions:
 class BDSResult:
     network: Network
     decomp_stats: DecompStats
-    timings: Dict[str, float]
     supernodes: int
     mapping_count: int
+    # Root span of the flow's trace ("flow", one child span per phase; see
+    # repro.obs.trace and docs/OBSERVABILITY.md).  Under a caller's tracer
+    # the phase spans' count deltas partition the ``perf`` totals.
+    trace: Span
     # Aggregated kernel perf counters (cache hit rate, GC sweeps, peak live
     # nodes, ...) from every manager the flow touched; see repro.perf.
     perf: Dict[str, float] = field(default_factory=dict)
     # Outputs the size-capped verifier could not prove (verify="cec"/"full").
     verify_unknown_outputs: List[str] = field(default_factory=list)
-    # Root span of the flow's trace when a Tracer was passed (see
-    # repro.obs.trace and docs/OBSERVABILITY.md); None otherwise.  Count
-    # deltas of the top-level phase spans partition the ``perf`` totals.
-    trace: Optional[Span] = None
+
+    @property
+    def timings(self) -> Dict[str, float]:
+        """Seconds per flow phase, read off the phase spans."""
+        return {span.name.partition(".")[2]: span.duration
+                for span in self.trace.children}
 
     def summary(self) -> str:
         s = self.network.stats()
@@ -161,77 +168,62 @@ class BDSResult:
                    " ".join("%s=%.3fs" % kv for kv in sorted(self.timings.items()))))
 
 
+class _Counters:
+    """The flow's counter accumulator: ``retired`` merges the snapshots
+    of the counter sources the flow is done with, ``live`` lists the
+    sources still counting.  :meth:`retire` moves a source from one to
+    the other in a single step, so the count deltas of the sequential
+    phase spans sum to the final totals."""
+
+    def __init__(self) -> None:
+        self.retired: Dict[str, float] = {}
+        self.live: List[CounterSource] = []
+
+    def add(self, snapshot: Dict[str, float]) -> None:
+        self.retired = merge_snapshots([self.retired, snapshot])
+
+    def retire(self, source: CounterSource) -> None:
+        self.live.remove(source)
+        self.add(source())
+
+    def snapshot(self) -> Dict[str, float]:
+        return merge_snapshots([self.retired] + [src() for src in self.live])
+
+
 def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
-                 cache: Optional[Any] = None,
                  tracer: Optional[Tracer] = None) -> BDSResult:
     """Run the full BDS flow on a copy of ``net``.
 
-    ``cache`` (a :class:`repro.service.cache.ArtifactCache`) short-circuits
-    the whole flow on a content hit -- the stored network, perf counters
-    and verify verdict are returned without recomputation -- and stores
-    the artifact on a miss.  Cache traffic lands in ``BDSResult.perf`` as
-    the ``artifact_cache_*`` counters.
-
-    ``tracer`` (a :class:`repro.obs.trace.Tracer`) records one span per
-    flow phase plus kernel safe-point and per-supernode sub-spans; the
-    finished root span lands on ``BDSResult.trace``.  Tracing never
+    Every phase, supernode and kernel safe point runs inside a span of
+    ``tracer`` (a private :class:`repro.obs.trace.Tracer` when None); the
+    finished root span lands on ``BDSResult.trace``.  Only a caller's
+    tracer samples counter deltas at span boundaries.  Tracing never
     changes the optimized network.
     """
     opts = options or BDSOptions()
-    tr = tracer if tracer is not None else NULL_TRACER
     if opts.verify not in VERIFY_MODES:
         raise ValueError("verify must be one of %r, got %r"
                          % (VERIFY_MODES, opts.verify))
-    cache_key = None
-    if cache is not None:
-        t0 = time.perf_counter()
-        with tr.span("flow.cache_lookup", circuit=net.name):
-            cache_key = cache.key_for(net, opts)
-            artifact = cache.lookup(cache_key)
-        if artifact is not None:
-            result = _result_from_artifact(artifact,
-                                           time.perf_counter() - t0)
-            if tr.enabled and tr.roots:
-                result.trace = tr.roots[-1]
-            return result
     checker = Checker(opts.check_level)
-    timings: Dict[str, float] = {}
+    counters = _Counters()
+    counters.live.append(checker.snapshot)
+    tr = tracer if tracer is not None else Tracer()
+    if tracer is not None:
+        # Sampling at every span boundary costs ~5% of flow time; spans
+        # alone cost ~0.3%, so untraced runs skip it.
+        tr.counter_source = counters.snapshot
     work = net.copy()
 
-    # Perf accounting: every counter source the flow owns is either a
-    # frozen snapshot (append-only ``perf_snaps``) or a live provider in
-    # ``live_sources``.  The tracer's counter source merges both, and a
-    # source only ever *moves* from live to frozen (atomically, between
-    # no span boundary), so the count deltas of the sequential top-level
-    # phase spans telescope to the final ``BDSResult.perf`` totals.
-    perf_snaps: List[Dict[str, float]] = []
-    live_sources: List[Callable[[], Dict[str, float]]] = []
-
-    def _perf_now() -> Dict[str, float]:
-        return merge_snapshots(perf_snaps + [src() for src in live_sources])
-
-    if tr.enabled:
-        tr.set_counter_source(_perf_now)
-    live_sources.append(checker.snapshot)
-
     with tr.span("flow", circuit=net.name, jobs=opts.jobs,
-                 verify=opts.verify):
+                 verify=opts.verify) as root:
         with tr.span("flow.sweep"):
-            t0 = time.perf_counter()
             sweep(work, merge_equivalent=opts.sweep_merge_equivalent)
             checker.check_network(work, "network after initial sweep")
-            timings["sweep"] = time.perf_counter() - t0
 
         with tr.span("flow.eliminate"):
-            t0 = time.perf_counter()
             part = PartitionedNetwork.from_network(work)
-            if tr.enabled:
-                part.mgr.tracer = tr
-                # Late-bound through ``part``: compact() retires managers
-                # into part.perf_history and installs a fresh part.mgr.
-                live_sources.append(lambda: part.mgr.perf_snapshot())
-                live_sources.append(
-                    lambda: merge_snapshots(part.perf_history))
+            part.mgr.tracer = tr
+            counters.live.append(part.perf_snapshot)
             if opts.autoreorder:
                 part.mgr.enable_autoreorder(opts.autoreorder,
                                             opts.autoreorder_method)
@@ -241,49 +233,35 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                            use_mapping=opts.use_bdd_mapping,
                            checker=checker)
             checker.check_partition(part, "partition after eliminate")
-            timings["eliminate"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        if opts.use_sdc:
-            from repro.bds.dontcare import minimize_with_sdc
-
-            with tr.span("flow.sdc"):
+        with tr.span("flow.sdc"):
+            if opts.use_sdc:
                 minimize_with_sdc(part)
-        timings["sdc"] = time.perf_counter() - t0
 
         with tr.span("flow.decompose"):
-            t0 = time.perf_counter()
             stats = DecompStats()
-            trees = {}
             names = sorted(part.refs)
             if opts.jobs > 1 and len(names) > 1:
-                _decompose_parallel(part, names, opts, stats, trees,
-                                    perf_snaps, tracer=tr)
+                trees = _decompose_parallel(part, names, opts, stats,
+                                            counters, tr)
             else:
+                trees = {}
                 for name in names:
-                    with tr.span("decompose.supernode", supernode=name):
-                        trees[name] = _decompose_supernode(
-                            part, name, opts, stats, tracer=tr,
-                            live_sources=live_sources,
-                            perf_snaps=perf_snaps)
-            timings["decompose"] = time.perf_counter() - t0
+                    moved = transfer_many(part.mgr, [part.refs[name]])
+                    counters.live.append(moved.manager.perf_snapshot)
+                    trees[name] = _decompose_supernode(
+                        moved.manager, moved.refs[0], name, opts, stats, tr)
+                    counters.retire(moved.manager.perf_snapshot)
 
-        t0 = time.perf_counter()
-        if opts.balance_trees:
-            from repro.decomp.balance import balance_forest
-
-            with tr.span("flow.balance"):
+        with tr.span("flow.balance"):
+            if opts.balance_trees:
                 trees = balance_forest(trees)
-        timings["balance"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        if opts.sharing:
-            with tr.span("flow.sharing"):
+        with tr.span("flow.sharing"):
+            if opts.sharing:
                 trees = extract_sharing(trees)
-        timings["sharing"] = time.perf_counter() - t0
 
         with tr.span("flow.lower"):
-            t0 = time.perf_counter()
             gate_net = trees_to_network(trees, inputs=work.inputs,
                                         outputs=work.outputs, name=net.name)
             # SDC minimization (and in principle any decomposition) can
@@ -295,15 +273,15 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
             if opts.final_sweep:
                 sweep(gate_net, merge_equivalent=False)
             checker.check_network(gate_net, "network after lowering")
-            timings["lower"] = time.perf_counter() - t0
 
         verify_unknown: List[str] = []
-        t0 = time.perf_counter()
         if opts.verify != "off":
             with tr.span("flow.verify", mode=opts.verify):
                 budget = opts.verify_budget
                 if budget is None:
-                    budget = max(0.05, 0.8 * sum(timings.values()))
+                    # The finished phase spans: as long as the flow took.
+                    budget = max(0.05, 0.8 * sum(
+                        span.duration for span in root.children))
                 deadline = (None if budget == float("inf")
                             else time.monotonic() + budget)
                 outcome = require_equivalent(
@@ -313,122 +291,56 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                     deadline=deadline,
                     subject="BDS result for %r" % net.name)
                 verify_unknown = outcome.unknown_outputs
-                perf_snaps.append({
+                counters.add({
                     "verify_outputs_checked": float(outcome.outputs_checked),
                     "verify_unknown": float(len(outcome.unknown_outputs)),
                 })
-                timings["verify"] = time.perf_counter() - t0
-
-        if not tr.enabled:
-            # The traced path registered these as live sources up front.
-            perf_snaps.extend(part.perf_history)
-            perf_snaps.append(part.mgr.perf_snapshot())
-        result = BDSResult(gate_net, stats, timings, supernodes=len(trees),
-                           mapping_count=part.mapping_count,
-                           perf=_perf_now(),
-                           verify_unknown_outputs=verify_unknown)
-    if tr.enabled and tr.roots:
-        result.trace = tr.roots[-1]
-    if cache is not None and cache_key is not None:
-        # Store the artifact *without* cache-traffic counters (they
-        # describe this call, not the artifact), then report the miss.
-        from repro.service.cache import Artifact
-
-        cache.store(cache_key, Artifact.from_result(result, opts))
-        result.perf = merge_snapshots([result.perf,
-                                       {"artifact_cache_misses": 1.0,
-                                        "artifact_cache_stores": 1.0}])
-    return result
+        perf = counters.snapshot()
+    return BDSResult(gate_net, stats, supernodes=len(trees),
+                     mapping_count=part.mapping_count, trace=root, perf=perf,
+                     verify_unknown_outputs=verify_unknown)
 
 
-def _result_from_artifact(artifact: Any, lookup_time: float) -> BDSResult:
-    """Rebuild a :class:`BDSResult` from a cache hit."""
-    stats = DecompStats()
-    stats.merge(artifact.decomp_stats)
-    perf = merge_snapshots([artifact.perf, {"artifact_cache_hits": 1.0}])
-    return BDSResult(artifact.network(), stats,
-                     {"cache_lookup": lookup_time},
-                     supernodes=artifact.supernodes,
-                     mapping_count=artifact.mapping_count,
-                     perf=perf,
-                     verify_unknown_outputs=list(
-                         artifact.verify_unknown_outputs))
-
-
-def _decompose_supernode(part: PartitionedNetwork, name: str,
-                         opts: BDSOptions, stats: DecompStats,
-                         tracer: Tracer = NULL_TRACER,
-                         live_sources: Optional[
-                             List[Callable[[], Dict[str, float]]]] = None,
-                         perf_snaps: Optional[
-                             List[Dict[str, float]]] = None):
-    """Reorder and decompose one supernode in a private manager.
-
-    When traced, the private manager is registered as a live counter
-    source for its lifetime (so kernel safe-point spans inside it see
-    real deltas), then atomically retired to a frozen snapshot -- no
-    span boundary may fall between the two, or phase deltas stop
-    telescoping to the flow totals.
-    """
-    ref = part.refs[name]
-    result = transfer_many(part.mgr, [ref])
-    mgr, local = result.manager, result.refs[0]
-    if tracer.enabled:
-        mgr.tracer = tracer
-    if live_sources is not None:
-        live_sources.append(mgr.perf_snapshot)
-    try:
+def _decompose_supernode(mgr: BDD, root: int, name: str, opts: BDSOptions,
+                         stats: DecompStats, tracer: Tracer,
+                         **attrs: Any) -> FTree:
+    """Reorder, decompose and sanitize one supernode BDD in its private
+    manager; returns the factoring tree over signal names.  The serial
+    loop and the pool worker both run it."""
+    mgr.tracer = tracer
+    with tracer.span("decompose.supernode", supernode=name, **attrs):
         if opts.autoreorder:
             mgr.enable_autoreorder(opts.autoreorder, opts.autoreorder_method)
-        if opts.reorder and not mgr.is_const(local):
-            sift(mgr, [local], size_limit=opts.sift_size_limit)
-        tree = decompose(mgr, local, options=opts.decomp, stats=stats)
+        if opts.reorder and not mgr.is_const(root):
+            sift(mgr, [root], size_limit=opts.sift_size_limit)
+        tree = decompose(mgr, root, options=opts.decomp, stats=stats)
         if opts.check_level != "off":
             # Decomposition-merge safe point: the supernode's private
             # manager must still be canonical after reorder + decompose.
             sanitize_bdd(mgr, level=opts.check_level,
                          subject="supernode %r manager after decompose" % name)
-    finally:
-        snap = mgr.perf_snapshot()
-        if live_sources is not None:
-            live_sources.remove(mgr.perf_snapshot)
-        if perf_snaps is not None:
-            perf_snaps.append(snap)
     return tree.map_vars(mgr.var_name)
 
 
 def _decompose_worker(payload: Tuple[str, str, BDSOptions, bool]):
     """Process-pool entry point: rebuild one supernode BDD from its
-    serialized form, reorder, decompose, and ship the name-mapped tree
-    back with the worker's stats, kernel counters and (when tracing)
-    its serialized span tree -- a forked child cannot share the parent
-    tracer, so spans travel back through the result channel."""
-    name, text, opts, trace_enabled = payload
+    serialized form and run :func:`_decompose_supernode` on it.  A forked
+    child cannot share the parent's tracer, so the tree, stats, kernel
+    counters and span tree travel back through the result channel."""
+    name, text, opts, sample = payload
     mgr, roots = bdd_loads(text)
-    local = roots[0]
+    tracer = Tracer(counter_source=mgr.perf_snapshot if sample else None)
     stats = DecompStats()
-    tracer = Tracer(counter_source=mgr.perf_snapshot) \
-        if trace_enabled else NULL_TRACER
-    if tracer.enabled:
-        mgr.tracer = tracer
-    with tracer.span("decompose.supernode", supernode=name, worker=True):
-        if opts.autoreorder:
-            mgr.enable_autoreorder(opts.autoreorder, opts.autoreorder_method)
-        if opts.reorder and not mgr.is_const(local):
-            sift(mgr, [local], size_limit=opts.sift_size_limit)
-        tree = decompose(mgr, local, options=opts.decomp, stats=stats)
-        if opts.check_level != "off":
-            sanitize_bdd(mgr, level=opts.check_level,
-                         subject="supernode %r manager after decompose" % name)
-    return (name, tree.map_vars(mgr.var_name), stats.as_dict(),
-            mgr.perf_snapshot(), tracer.export_spans())
+    tree = _decompose_supernode(mgr, roots[0], name, opts, stats, tracer,
+                                worker=True)
+    return (name, tree, stats.as_dict(), mgr.perf_snapshot(),
+            tracer.export_spans())
 
 
 def _decompose_parallel(part: PartitionedNetwork, names: List[str],
                         opts: BDSOptions, stats: DecompStats,
-                        trees: Dict[str, object],
-                        perf_snaps: List[Dict[str, float]],
-                        tracer: Tracer = NULL_TRACER) -> None:
+                        counters: _Counters,
+                        tracer: Tracer) -> Dict[str, FTree]:
     """Fan supernodes out over a process pool (opts.jobs workers).
 
     Supernodes own independent BDDs after eliminate, so each worker gets
@@ -438,14 +350,15 @@ def _decompose_parallel(part: PartitionedNetwork, names: List[str],
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    payloads = [(name, bdd_dumps(part.mgr, [part.refs[name]]), opts,
-                 tracer.enabled)
+    sample = tracer.counter_source is not None
+    payloads = [(name, bdd_dumps(part.mgr, [part.refs[name]]), opts, sample)
                 for name in names]
+    trees = {}
     with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
         for name, tree, stats_dict, snap, spans in pool.map(
                 _decompose_worker, payloads):
             trees[name] = tree
             stats.merge(stats_dict)
-            perf_snaps.append(snap)
-            if spans:
-                tracer.graft(spans)
+            counters.add(snap)
+            tracer.graft(spans)
+    return trees

@@ -49,15 +49,11 @@ from repro.verify import DEFAULT_SIZE_CAP, VerifyError, verify_networks
 
 def _cmd_optimize(args) -> int:
     with open(args.input) as fh:
-        net = parse_blif(fh.read())
+        source = fh.read()
+    net = parse_blif(source)
     verify_mode = args.verify or "off"
     unknown = []
     perf = {}
-    cache = None
-    if args.cache_dir:
-        from repro.service import ArtifactCache
-
-        cache = ArtifactCache(args.cache_dir)
     tracer = None
     if getattr(args, "trace", None):
         if args.flow != "bds":
@@ -73,19 +69,39 @@ def _cmd_optimize(args) -> int:
                              autoreorder=args.autoreorder,
                              jobs=getattr(args, "jobs", 1),
                              verify=verify_mode)
-        try:
-            result = bds_optimize(net, options, cache=cache, tracer=tracer)
-        except VerifyError as exc:
-            print("VERIFICATION FAILED (%s) at output %s, e.g. %r"
-                  % (exc.mode, exc.failing_output, exc.counterexample),
-                  file=sys.stderr)
-            return 1
-        optimized = result.network
-        unknown = result.verify_unknown_outputs
-        perf = result.perf
-        if args.stats:
-            print("decompositions:", result.decomp_stats.as_dict(),
-                  file=sys.stderr)
+        if args.cache_dir:
+            from repro.service import (ArtifactCache, OptimizationService,
+                                       ServiceRequest)
+
+            # Through the service: a cache hit skips the flow; a miss runs
+            # it in a worker process and stores the artifact.
+            service = OptimizationService(cache=ArtifactCache(args.cache_dir))
+            reply = service.optimize_one(ServiceRequest(
+                blif=source, options=options, name=args.input,
+                trace=tracer is not None))
+            if tracer is not None and reply.trace:
+                tracer.graft(reply.trace)
+            if not reply.ok:
+                print("optimization %s: %s" % (reply.status, reply.error),
+                      file=sys.stderr)
+                return 1
+            optimized = parse_blif(reply.blif)
+            unknown = reply.verify_unknown_outputs
+            perf = reply.perf
+        else:
+            try:
+                result = bds_optimize(net, options, tracer=tracer)
+            except VerifyError as exc:
+                print("VERIFICATION FAILED (%s) at output %s, e.g. %r"
+                      % (exc.mode, exc.failing_output, exc.counterexample),
+                      file=sys.stderr)
+                return 1
+            optimized = result.network
+            unknown = result.verify_unknown_outputs
+            perf = result.perf
+            if args.stats:
+                print("decompositions:", result.decomp_stats.as_dict(),
+                      file=sys.stderr)
     else:
         optimized = script_rugged(net).network
         if verify_mode != "off":
@@ -540,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "artifact-cache traffic) as one JSON object "
                             "on stdout; the network then only goes to -o")
     p_opt.add_argument("--cache-dir", metavar="DIR",
-                       help="content-addressed artifact cache: a prior "
+                       help="optimize through the service with this "
+                            "content-addressed artifact cache: a prior "
                             "result for the same input x options is "
                             "returned without re-running the flow")
     p_opt.set_defaults(func=_cmd_optimize)

@@ -86,10 +86,10 @@ def run_case(net: Network, options: BDSOptions,
              seed: int = 1355, check_cache: bool = False) -> Optional[Failure]:
     """Run the flow (and optional mapping) on ``net``; None when clean.
 
-    ``check_cache`` additionally runs the case twice through a throwaway
-    artifact cache (cold store, then warm hit) and requires the cached
-    result to agree byte-for-byte with the cold run -- the differential
-    guard for the ``repro.service`` cache path.
+    ``check_cache`` additionally sends the case through the service twice
+    over a throwaway artifact cache (cold miss, then warm hit) and
+    requires both replies to agree byte-for-byte with the in-process run
+    -- the differential guard for the ``repro.service`` path.
     """
     try:
         result = bds_optimize(net, options)
@@ -107,7 +107,7 @@ def run_case(net: Network, options: BDSOptions,
                        "%s: %s" % (type(exc).__name__, exc))
     failure = _cross_check(net, result.network, "flow", size_cap, seed)
     if failure is None and check_cache:
-        failure = _cache_differential(net, options)
+        failure = _cache_differential(net, options, write_blif(result.network))
     if failure is not None or not map_mode:
         return failure
     try:
@@ -273,35 +273,33 @@ def _corpus_meta(record: FailureRecord, seed: int) -> Dict[str, Any]:
     }
 
 
-def _cache_differential(net: Network,
-                        options: BDSOptions) -> Optional[Failure]:
-    """Cold-store then warm-hit the case in a throwaway cache; the cached
-    network must be byte-identical to the cold run's."""
+def _cache_differential(net: Network, options: BDSOptions,
+                        expected_blif: str) -> Optional[Failure]:
+    """Send the case through the service twice over a throwaway cache:
+    the cold reply must equal the in-process BLIF and the warm hit must
+    equal the cold reply."""
     import tempfile
 
-    from repro.service.cache import ArtifactCache
+    from repro.service import (ArtifactCache, OptimizationService,
+                               ServiceRequest)
 
+    request = ServiceRequest(blif=write_blif(net), options=options)
     with tempfile.TemporaryDirectory() as td:
-        cache = ArtifactCache(td)
-        try:
-            cold = bds_optimize(net, options, cache=cache)
-            warm = bds_optimize(net, options, cache=cache)
-        except (CheckError, VerifyError) as exc:
-            return Failure("crash", "cache",
-                           "%s: %s" % (type(exc).__name__, exc))
-        except BddBudgetExceeded:
-            raise
-        except Exception as exc:
-            return Failure("crash", "cache",
-                           "%s: %s" % (type(exc).__name__, exc))
-        if warm.perf.get("artifact_cache_hits", 0) != 1:
-            return Failure("mismatch", "cache",
-                           "warm run missed the cache (counters %r)"
-                           % {k: v for k, v in warm.perf.items()
-                              if k.startswith("artifact_cache_")})
-        if write_blif(cold.network) != write_blif(warm.network):
-            return Failure("mismatch", "cache",
-                           "cached network differs from cold run")
+        service = OptimizationService(cache=ArtifactCache(td))
+        cold = service.optimize_one(request)
+        warm = service.optimize_one(request)
+    for reply in (cold, warm):
+        if not reply.ok:
+            return Failure("crash", "cache", "service %s: %s"
+                           % (reply.status, reply.error))
+    if cold.blif != expected_blif:
+        return Failure("mismatch", "cache",
+                       "service network differs from the in-process run")
+    if not warm.cached:
+        return Failure("mismatch", "cache", "warm request missed the cache")
+    if warm.blif != cold.blif:
+        return Failure("mismatch", "cache",
+                       "cached network differs from cold run")
     return None
 
 

@@ -22,6 +22,7 @@ from repro.bdd import BDD, ONE, ZERO, transfer_many
 from repro.bdd.isop import isop
 from repro.bdd.traverse import node_count, shared_node_count, support
 from repro.network.network import Network, Node
+from repro.perf import merge_snapshots
 from repro.sop.cover import Cover, complement, remove_contained
 from repro.sop.cube import cube_and, lit
 
@@ -155,9 +156,9 @@ class PartitionedNetwork:
         self.sig_var: Dict[str, int] = {}
         self.refs: Dict[str, int] = {}
         self.mapping_count = 0  # how many BDD-mapping compactions ran
-        # Kernel counters of managers retired by compact(); merge these
-        # with the live manager's snapshot for full-flow accounting.
-        self.perf_history: List[Dict[str, float]] = []
+        # Kernel counters of the managers compact() retired, merged into
+        # one snapshot; perf_snapshot() adds the live manager's.
+        self._retired_perf: Dict[str, float] = {}
         # Signal-graph index, kept current by set_ref()/_drop(): each
         # node's support as signal names, and each read signal's consumers
         # in ``refs`` order.  Eliminate asks for a node's fanouts and the
@@ -241,6 +242,10 @@ class PartitionedNetwork:
 
     def total_bdd_nodes(self) -> int:
         return shared_node_count(self.mgr, list(self.refs.values()))
+
+    def perf_snapshot(self) -> Dict[str, float]:
+        """Kernel counters of every manager this partition has owned."""
+        return merge_snapshots([self._retired_perf, self.mgr.perf_snapshot()])
 
     def remove_dangling(self) -> int:
         dead = [n for n in self.refs
@@ -331,15 +336,18 @@ class PartitionedNetwork:
         """BDD mapping (Section IV-B): rebuild all live BDDs in a fresh
         manager containing only the variables still in use."""
         names = list(self.refs)
-        self.perf_history.append(self.mgr.perf_snapshot())
+        self._retired_perf = self.perf_snapshot()
         result = transfer_many(self.mgr, [self.refs[n] for n in names])
         # transfer_many drops variables with no nodes; re-add missing node
         # variables (a node whose BDD is constant may still be referenced).
         new_mgr = result.manager
-        # The retired manager's counters just moved into perf_history (a
-        # frozen snapshot); the tracer follows to the fresh manager so GC
-        # safe-point spans keep firing after a BDD mapping.
+        # The retired manager's counters just moved into _retired_perf;
+        # the tracer and the autoreorder arming follow to the fresh
+        # manager, so GC and reorder safe points keep firing after a BDD
+        # mapping.
         new_mgr.tracer = self.mgr.tracer
+        if self.mgr.autoreorder is not None:
+            new_mgr.enable_autoreorder(*self.mgr.autoreorder)
         self.refs = dict(zip(names, result.refs))
         self.sig_var = {}
         for sig in [*self.inputs, *names]:

@@ -24,7 +24,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.regress import (DEFAULT_BENCH_CIRCUITS, RegressionReport,
                                collect_flow_payload, compare_payloads,
                                load_baseline)
-from repro.obs.trace import NULL_TRACER, Span, Tracer
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -32,7 +32,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_TRACER",
     "RegressionReport",
     "Span",
     "Tracer",

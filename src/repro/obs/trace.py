@@ -24,9 +24,9 @@ rebases child-local times onto the enclosing span and gives each grafted
 subtree its own Chrome ``tid`` so parallel workers do not overlap on one
 timeline row.
 
-The disabled path is :data:`NULL_TRACER`: a shared no-op whose ``span``
-returns a singleton context manager, so instrumentation left in place
-costs a dict-free call per span and nothing else.
+Spans are cheap enough to leave on: the flow always records them, and
+only samples counters when its caller supplies the tracer (see
+``repro.bds.flow.bds_optimize`` and docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -118,25 +118,8 @@ class _SpanContext:
         self._tracer.end()
 
 
-class _NullSpanContext:
-    """Shared no-op span context (the disabled-tracing hot path)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
 class Tracer:
     """Records a span tree; single-threaded by design (one per flow)."""
-
-    enabled = True
 
     def __init__(self, counter_source: Optional[CounterSource] = None) -> None:
         self.epoch = time.perf_counter()
@@ -146,9 +129,6 @@ class Tracer:
         self._next_tid = 2  # tid 1 is the tracer's own timeline
 
     # -- span lifecycle -------------------------------------------------
-
-    def set_counter_source(self, source: Optional[CounterSource]) -> None:
-        self.counter_source = source
 
     def span(self, name: str, **attrs: Attr) -> _SpanContext:
         """Context manager opening a nested span (always use ``with``)."""
@@ -235,37 +215,3 @@ class Tracer:
                     "args": args,
                 })
         return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-class _NullTracer(Tracer):
-    """Disabled tracing: every operation is a near-free no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def set_counter_source(self, source: Optional[CounterSource]) -> None:
-        return None
-
-    def span(self, name: str, **attrs: Attr) -> _SpanContext:
-        # Shared singleton: no allocation beyond the kwargs dict at the
-        # call site.  The return-type covariance is intentional.
-        return _NULL_SPAN_CONTEXT  # type: ignore[return-value]
-
-    def begin(self, name: str, **attrs: Attr) -> Span:
-        raise RuntimeError("NULL_TRACER cannot open spans manually")
-
-    def end(self) -> Span:
-        raise RuntimeError("NULL_TRACER has no open spans")
-
-    def graft(self, spans: Sequence[Dict[str, Any]]) -> List[Span]:
-        return []
-
-    def export_spans(self) -> List[Dict[str, Any]]:
-        return []
-
-
-#: The shared disabled tracer: thread instrumentation through
-#: unconditionally, pass a real :class:`Tracer` only when tracing.
-NULL_TRACER = _NullTracer()

@@ -120,21 +120,6 @@ class Artifact:
                 payload.get("verify_unknown_outputs") or []),
         )
 
-    @classmethod
-    def from_result(cls, result: Any, options: Any) -> "Artifact":
-        """Build from a :class:`repro.bds.flow.BDSResult` (duck-typed to
-        keep this module import-light)."""
-        return cls(
-            network_blif=write_blif(result.network),
-            perf=dict(result.perf),
-            decomp_stats=dict(result.decomp_stats.as_dict()),
-            timings=dict(result.timings),
-            supernodes=result.supernodes,
-            mapping_count=result.mapping_count,
-            verify_mode=options.verify,
-            verify_unknown_outputs=list(result.verify_unknown_outputs),
-        )
-
 
 def _payload_text(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

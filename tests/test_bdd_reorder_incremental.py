@@ -267,6 +267,14 @@ class TestAutoreorder:
         mgr.maybe_collect(roots)
         assert mgr.perf.autoreorder_triggers == 0
 
+    def test_arming_is_readable(self):
+        mgr = BDD()
+        assert mgr.autoreorder is None
+        mgr.enable_autoreorder(threshold=40, method="window3")
+        assert mgr.autoreorder == (40, "window3")
+        mgr.disable_autoreorder()
+        assert mgr.autoreorder is None
+
     def test_window3_method(self):
         mgr = BDD()
         variables = [mgr.new_var() for _ in range(8)]

@@ -112,6 +112,10 @@ class TestBdsFlow:
         assert set(result.timings) == {"sweep", "eliminate", "sdc",
                                        "decompose", "balance", "sharing",
                                        "lower"}
+        # Untraced runs still record spans; timings is a view over them.
+        assert result.trace is not None and result.trace.name == "flow"
+        for span in result.trace.children:
+            assert result.timings[span.name[len("flow."):]] == span.duration
         assert "literals" in str(result.network.stats())
         assert "supernodes" in result.summary()
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.bds.flow import BDSOptions
+from repro.bds.flow import BDSOptions, bds_optimize
 from repro.circuits import build_circuit
 from repro.circuits.registry import TABLE1_CIRCUITS
 from repro.network.blif import parse_blif, write_blif
@@ -87,6 +87,16 @@ class TestBatchRouting:
         resp = service.optimize_one(_requests(["add4"])[0])
         assert resp.ok and not resp.cached
         assert parse_blif(resp.blif).stats()["outputs"] == 5
+
+    def test_jobs_option_runs_in_the_worker(self):
+        # Scheduler workers are daemonic and may not fork a decompose
+        # pool; jobs is non-semantic, so the worker runs the flow with
+        # jobs=1 instead of failing the request.
+        net = build_circuit("add8")
+        resp = OptimizationService().optimize_one(ServiceRequest(
+            blif=write_blif(net), options=BDSOptions(jobs=2)))
+        assert resp.ok, resp.error
+        assert resp.blif == write_blif(bds_optimize(net).network)
 
 
 class TestServeLoop:

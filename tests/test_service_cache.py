@@ -12,6 +12,7 @@ from repro.circuits import build_circuit
 from repro.circuits.randlogic import random_logic
 from repro.decomp.engine import DecompOptions
 from repro.network.blif import write_blif
+from repro.service import OptimizationService, ServiceRequest
 from repro.service.cache import Artifact, ArtifactCache, canonical_blif
 from repro.verify import verify_networks
 
@@ -89,7 +90,9 @@ class TestArtifactStore:
         key = cache.key_for(net, opts)
         assert cache.lookup(key) is None and cache.misses == 1
         result = bds_optimize(net, opts)
-        cache.store(key, Artifact.from_result(result, opts))
+        cache.store(key, Artifact(network_blif=write_blif(result.network),
+                                  perf=result.perf,
+                                  supernodes=result.supernodes))
         artifact = cache.lookup(key)
         assert artifact is not None and cache.hits == 1
         assert artifact.network_blif == write_blif(result.network)
@@ -128,7 +131,9 @@ class TestArtifactStore:
         cache = ArtifactCache(str(tmp_path))
         key = "ab" * 32
         result = bds_optimize(build_circuit("add4"), BDSOptions())
-        path = cache.store(key, Artifact.from_result(result, BDSOptions()))
+        path = cache.store(key, Artifact(
+            network_blif=write_blif(result.network), perf=result.perf,
+            decomp_stats=result.decomp_stats.as_dict()))
         raw = bytearray(open(path, "rb").read())
         # Flip a bit inside the payload body (past the checksum header).
         pos = rng.randrange(len(raw) // 2, len(raw) - 2)
@@ -173,43 +178,30 @@ class TestArtifactStore:
 
 
 class TestFlowShortCircuit:
-    def test_miss_then_hit_byte_identical(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path))
-        net = build_circuit("add8")
-        opts = BDSOptions(verify="cec")
-        cold = bds_optimize(net, opts, cache=cache)
-        assert cold.perf["artifact_cache_misses"] == 1
-        assert cold.perf["artifact_cache_stores"] == 1
-        warm = bds_optimize(net, opts, cache=cache)
-        assert warm.perf["artifact_cache_hits"] == 1
-        assert "artifact_cache_misses" not in warm.perf or \
-            warm.perf["artifact_cache_misses"] == 0
-        assert write_blif(warm.network) == write_blif(cold.network)
-        assert warm.verify_unknown_outputs == cold.verify_unknown_outputs
-        assert warm.decomp_stats.as_dict() == cold.decomp_stats.as_dict()
-        assert warm.supernodes == cold.supernodes
+    """A service cache hit answers without running the flow; the options
+    key decides which requests share an artifact."""
+
+    def _service(self, tmp_path):
+        return OptimizationService(cache=ArtifactCache(str(tmp_path)))
+
+    def _request(self, options):
+        return ServiceRequest(blif=write_blif(build_circuit("add4")),
+                              options=options)
 
     def test_semantically_different_options_do_not_share(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path))
-        net = build_circuit("add4")
-        bds_optimize(net, BDSOptions(), cache=cache)
-        other = bds_optimize(net, BDSOptions(reorder=False), cache=cache)
+        service = self._service(tmp_path)
+        service.optimize_one(self._request(BDSOptions()))
+        other = service.optimize_one(self._request(BDSOptions(reorder=False)))
+        assert other.ok and not other.cached
         assert other.perf["artifact_cache_misses"] == 1
 
     def test_non_semantic_options_do_share(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path))
-        net = build_circuit("add4")
-        bds_optimize(net, BDSOptions(jobs=1), cache=cache)
-        warm = bds_optimize(net, BDSOptions(jobs=2, check_level="cheap"),
-                            cache=cache)
+        service = self._service(tmp_path)
+        service.optimize_one(self._request(BDSOptions(jobs=1)))
+        warm = service.optimize_one(
+            self._request(BDSOptions(jobs=2, check_level="cheap")))
+        assert warm.cached
         assert warm.perf["artifact_cache_hits"] == 1
-
-    def test_cached_result_is_equivalent_to_input(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path))
-        net = build_circuit("parity8")
-        bds_optimize(net, BDSOptions(), cache=cache)
-        warm = bds_optimize(net, BDSOptions(), cache=cache)
-        assert verify_networks(net, warm.network, mode="cec").equivalent
 
 
 class TestCorruptDumpLoads:
