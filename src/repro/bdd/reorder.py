@@ -483,9 +483,14 @@ def force_order(var_groups: Iterable[Sequence[int]], num_vars: int,
     network node).  Returns a variable order (list of var ids, top first)
     that tends to keep tightly connected variables adjacent -- a cheap,
     effective initial order for multi-rooted BDD construction.
+
+    An iteration reads only the previous ranking, so once one repeats the
+    ranking before it every later one would too: the loop stops there,
+    with the order ``iterations`` rounds would give.
     """
     groups = [list(g) for g in var_groups if g]
-    position = {v: float(i) for i, v in enumerate(range(num_vars))}
+    ranked = list(range(num_vars))
+    position = {v: float(i) for i, v in enumerate(ranked)}
     for _ in range(iterations):
         centers: List[float] = []
         for g in groups:
@@ -500,6 +505,9 @@ def force_order(var_groups: Iterable[Sequence[int]], num_vars: int,
                 new_pos[v] = sum(pull[v]) / len(pull[v])
             else:
                 new_pos[v] = position[v]
+        previous = ranked
         ranked = sorted(range(num_vars), key=lambda v: new_pos[v])
+        if ranked == previous:
+            break
         position = {v: float(i) for i, v in enumerate(ranked)}
-    return sorted(range(num_vars), key=lambda v: position[v])
+    return ranked

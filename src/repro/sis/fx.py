@@ -99,8 +99,10 @@ def _best_divisor(net: Network, min_saving: int) -> Optional[_Divisor]:
 def _extract(net: Network, divisor: _Divisor) -> str:
     signals = divisor.signals()
     pos = {s: i for i, s in enumerate(signals)}
+    # Sorted: iterating the frozenset would order the cubes by string hash.
     cover: Cover = [
-        frozenset(lit(pos[s], p) for s, p in cube) for cube in divisor.cubes
+        frozenset(lit(pos[s], p) for s, p in cube)
+        for cube in sorted(divisor.cubes, key=sorted)
     ]
     name = net.fresh_name("fx")
     net.add_node(name, signals, cover)
@@ -120,25 +122,28 @@ def _substitute(node: Node, divisor_node: Node) -> None:
         for cube in divisor_node.cover
     ]
     quotient, remainder = _named_divide(named, div_named)
-    if not quotient:
-        return
-    # New cover: quotient * divisor_literal + remainder.
+    if quotient:
+        rewrite_as_quotient(node, quotient, remainder, divisor_node.name)
+
+
+def rewrite_as_quotient(node: Node, quotient: List[FrozenSet],
+                        remainder: List[FrozenSet], divisor: str) -> None:
+    """Set ``node`` to ``quotient * divisor + remainder`` (name covers)."""
     signals: List[str] = []
     seen: Set[str] = set()
     for cube in quotient + remainder:
-        for s, _ in cube:
+        for s, _ in sorted(cube):  # not hash order: it fixes the fanin order
             if s not in seen:
                 seen.add(s)
                 signals.append(s)
-    if divisor_node.name not in seen:
-        signals.append(divisor_node.name)
+    if divisor not in seen:
+        signals.append(divisor)
     pos = {s: i for i, s in enumerate(signals)}
-    div_lit = lit(pos[divisor_node.name], True)
-    new_cover = []
-    for cube in quotient:
-        new_cover.append(frozenset({div_lit} | {lit(pos[s], p) for s, p in cube}))
-    for cube in remainder:
-        new_cover.append(frozenset(lit(pos[s], p) for s, p in cube))
+    div_lit = lit(pos[divisor], True)
+    new_cover = [frozenset({div_lit} | {lit(pos[s], p) for s, p in cube})
+                 for cube in quotient]
+    new_cover += [frozenset(lit(pos[s], p) for s, p in cube)
+                  for cube in remainder]
     node.fanins = signals
     node.cover = remove_contained(new_cover)
     node.normalize()

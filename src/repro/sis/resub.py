@@ -8,12 +8,10 @@ substituting candidates that are not in the node's transitive fanout.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.network.network import Network, Node
-from repro.sis.fx import _named_cover, _named_divide
-from repro.sop.cover import remove_contained
-from repro.sop.cube import lit
+from repro.sis.fx import _named_cover, _named_divide, rewrite_as_quotient
 
 
 def resubstitute_all(net: Network, max_rounds: int = 3) -> int:
@@ -61,24 +59,7 @@ def _try_substitute(node: Node, cand: Node) -> bool:
                 + sum(len(c) for c in remainder))
     if new_lits >= old_lits:
         return False
-    signals: List[str] = []
-    seen: Set[str] = set()
-    for cube in quotient + remainder:
-        for s, _ in cube:
-            if s not in seen:
-                seen.add(s)
-                signals.append(s)
-    if cand.name not in seen:
-        signals.append(cand.name)
-    pos = {s: i for i, s in enumerate(signals)}
-    div_lit = lit(pos[cand.name], True)
-    new_cover = [frozenset({div_lit} | {lit(pos[s], p) for s, p in cube})
-                 for cube in quotient]
-    new_cover += [frozenset(lit(pos[s], p) for s, p in cube)
-                  for cube in remainder]
-    node.fanins = signals
-    node.cover = remove_contained(new_cover)
-    node.normalize()
+    rewrite_as_quotient(node, quotient, remainder, cand.name)
     return True
 
 

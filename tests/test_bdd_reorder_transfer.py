@@ -203,3 +203,41 @@ class TestForceOrder:
     def test_all_vars_present(self):
         order = force_order([[1, 3]], 5)
         assert sorted(order) == [0, 1, 2, 3, 4]
+
+    @staticmethod
+    def _reference_order(var_groups, num_vars, iterations=20):
+        """FORCE with every one of its ``iterations`` rounds run."""
+        groups = [list(g) for g in var_groups if g]
+        position = {v: float(v) for v in range(num_vars)}
+        for _ in range(iterations):
+            centers = [sum(position[v] for v in g) / len(g) for g in groups]
+            pull = {}
+            for g, c in zip(groups, centers):
+                for v in g:
+                    pull.setdefault(v, []).append(c)
+            new_pos = {v: sum(pull[v]) / len(pull[v]) if v in pull
+                       else position[v] for v in range(num_vars)}
+            ranked = sorted(range(num_vars), key=lambda v: new_pos[v])
+            position = {v: float(i) for i, v in enumerate(ranked)}
+        return sorted(range(num_vars), key=lambda v: position[v])
+
+    def test_fixed_point_stop_matches_all_iterations(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            n = rng.randint(1, 24)
+            groups = [rng.sample(range(n), rng.randint(1, min(n, 6)))
+                      for _ in range(rng.randint(0, 12))]
+            iterations = rng.choice([0, 1, 2, 5, 20])
+            assert (force_order(groups, n, iterations)
+                    == self._reference_order(groups, n, iterations))
+
+    def test_initial_orders_of_real_circuits_unchanged(self, monkeypatch):
+        from repro.circuits import build_circuit
+        import repro.network.cones as cones
+
+        for name in ("C432", "C880", "rot", "add16", "bshift8"):
+            net = build_circuit(name)
+            fast = cones.initial_order(net)
+            with monkeypatch.context() as patch:
+                patch.setattr(cones, "force_order", self._reference_order)
+                assert cones.initial_order(net) == fast, name

@@ -31,19 +31,14 @@ def _run_cli(args, seed, cwd):
     return res
 
 
-#: rl_mux/add4 are the historical guards; rot and C880 come from Table I
-#: (rot once emitted hash-seed-dependent gensym numbering through an
-#: unsorted dependency-set DFS in trees_to_network -- the golden-digest
-#: tests caught it, this pins the fix end to end).
-@pytest.mark.parametrize("circuit", ["rl_mux", "add4", "rot", "C880"])
-def test_flow_output_identical_across_hash_seeds(circuit, tmp_path):
+def _assert_identical_across_seeds(circuit, tmp_path, flow_args):
     outputs = {}
     for seed in SEEDS:
         gen = tmp_path / ("%s_%s.blif" % (circuit, seed))
         opt = tmp_path / ("%s_%s_opt.blif" % (circuit, seed))
         _run_cli(["generate", circuit, "-o", str(gen)], seed, tmp_path)
-        _run_cli(["optimize", str(gen), "-o", str(opt), "--verify"],
-                 seed, tmp_path)
+        _run_cli(["optimize", str(gen), "-o", str(opt), "--verify"]
+                 + flow_args, seed, tmp_path)
         outputs[seed] = (gen.read_bytes(), opt.read_bytes())
     first = outputs[SEEDS[0]]
     for seed in SEEDS[1:]:
@@ -51,3 +46,21 @@ def test_flow_output_identical_across_hash_seeds(circuit, tmp_path):
             "generated BLIF differs under PYTHONHASHSEED=%s" % seed
         assert outputs[seed][1] == first[1], \
             "optimized BLIF differs under PYTHONHASHSEED=%s" % seed
+
+
+#: rl_mux/add4 are the historical guards; rot and C880 come from Table I
+#: (rot once emitted hash-seed-dependent gensym numbering through an
+#: unsorted dependency-set DFS in trees_to_network -- the golden-digest
+#: tests caught it, this pins the fix end to end).
+@pytest.mark.parametrize("circuit", ["rl_mux", "add4", "rot", "C880"])
+def test_flow_output_identical_across_hash_seeds(circuit, tmp_path):
+    _assert_identical_across_seeds(circuit, tmp_path, [])
+
+
+#: The SIS baseline once ordered fast_extract's divisor cubes and the
+#: fanins of every node that fx or resub rewrote by string hash, by
+#: iterating frozensets of (signal, phase) pairs; C432 first diverged in
+#: fast_extract, and every circuit here differed between the seeds.
+@pytest.mark.parametrize("circuit", ["add4", "rot", "C432"])
+def test_sis_flow_output_identical_across_hash_seeds(circuit, tmp_path):
+    _assert_identical_across_seeds(circuit, tmp_path, ["--flow", "sis"])

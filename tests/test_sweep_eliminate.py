@@ -1,14 +1,21 @@
 """Tests for sweep and eliminate (both cube- and BDD-domain variants)."""
 
+import gc
+import importlib
 import itertools
 import random
+import weakref
 
+import pytest
 
-from repro.circuits import build_circuit
+from repro.bds.flow import BDSOptions, bds_optimize
+from repro.circuits import build_circuit, random_logic
 from repro.network import Network, eliminate_bdd, eliminate_literal, sweep
 from repro.network.eliminate import PartitionedNetwork, collapse_node_into
 from repro.network.sweep import substitute_fanin
 from repro.sop.cube import lit
+
+sweep_module = importlib.import_module("repro.network.sweep")
 
 
 def _equivalent(a: Network, b: Network, seed=1, rounds=64) -> bool:
@@ -101,6 +108,30 @@ class TestSweep:
         survivors = [n for n in ("u", "v", "w", "w1") if n in net.nodes]
         assert len(survivors) <= 1
 
+    def test_global_bdd_manager_dies_with_the_sweep(self, monkeypatch):
+        # No cycle keeps the functional merge's manager (and its global
+        # BDDs) alive past sweep: it must go without a cyclic collection.
+        import repro.bdd
+
+        made = []
+
+        class Tracked(repro.bdd.BDD):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(repro.bdd, "BDD", Tracked)
+        net = build_circuit("C432")
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sweep(net)
+            assert made, "the functional merge built no manager"
+            assert all(ref() is None for ref in made)
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_output_names_preserved(self):
         net = small_circuit()
         sweep(net)
@@ -119,6 +150,91 @@ class TestSweep:
         sweep(net)
         assert _exhaustive_equivalent(ref, net)
         assert net.node_count() <= 1
+
+
+def _sweep_passes(net, merge_equivalent=True):
+    """Sweep ``net``; return how many structural passes that took."""
+    passes = []
+    real = sweep_module._merge_structural
+
+    def counting(*args):
+        passes.append(1)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep_module, "_merge_structural", counting)
+        sweep(net, merge_equivalent=merge_equivalent)
+    return len(passes)
+
+
+def _state(net):
+    return {name: (node.fanins, node.cover)
+            for name, node in net.nodes.items()}
+
+
+class TestSweepConverges:
+    """Duplicate outputs settle as output aliases instead of alternating
+    between two forms until the pass cap stops the sweep."""
+
+    def test_equal_constant_outputs(self):
+        # Both outputs fold to 0; the later one becomes a buffer of the
+        # earlier one and constant folding leaves that buffer alone.
+        net = Network()
+        for n in "ab":
+            net.add_input(n)
+        net.add_output("y")
+        net.add_output("z")
+        net.add_const("zero", False)
+        net.add_and("y", ["a", "zero"])
+        net.add_and("z", ["b", "zero"])
+        for merge_equivalent in (True, False):
+            work = net.copy()
+            assert _sweep_passes(work, merge_equivalent) <= 2
+            assert work.outputs == ["y", "z"]
+            assert _state(work) == {"y": ([], []),
+                                    "z": (["y"], [frozenset({lit(0)})])}
+
+    def test_output_buffer_of_output_inverter(self):
+        # Squeezing the inverter into z would recreate the duplicate of y
+        # that the structural merge turns straight back into this buffer.
+        net = Network()
+        net.add_input("a")
+        net.add_output("y")
+        net.add_output("z")
+        net.add_not("y", "a")
+        net.add_buf("z", "y")
+        for merge_equivalent in (True, False):
+            work = net.copy()
+            assert _sweep_passes(work, merge_equivalent) <= 2
+            assert _state(work) == {
+                "y": (["a"], [frozenset({lit(0, False)})]),
+                "z": (["y"], [frozenset({lit(0)})])}
+
+    def test_buffer_of_later_output_is_squeezed(self):
+        # Not an alias (its source comes later): the merge keeps the
+        # earlier output, so y takes the logic and z becomes its alias.
+        net = Network()
+        net.add_input("a")
+        net.add_output("y")
+        net.add_output("z")
+        net.add_buf("y", "z")
+        net.add_not("z", "a")
+        assert _sweep_passes(net) <= 2
+        assert _state(net) == {"y": (["a"], [frozenset({lit(0, False)})]),
+                               "z": (["y"], [frozenset({lit(0)})])}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_service_shape_never_reaches_the_cap(self, seed):
+        # The raw netlist, and the lowered BDS network before its final
+        # sweep: the second is where duplicate outputs are common.
+        net = random_logic(24, 64, 24, seed=seed)
+        lowered = bds_optimize(net, BDSOptions(final_sweep=False)).network
+        for subject in (net, lowered):
+            for merge_equivalent in (True, False):
+                work = subject.copy()
+                passes = _sweep_passes(work, merge_equivalent)
+                assert passes < sweep_module.MAX_PASSES
+                assert _equivalent(subject, work)
 
 
 def _exhaustive_equivalent_single(net, fn):
