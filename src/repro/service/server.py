@@ -57,6 +57,9 @@ from repro.service.scheduler import OptimizationScheduler, SchedulerFull
 
 #: Event-loop tick: the select timeout bounding scheduler-poll latency.
 _TICK_S = 0.05
+#: The tick while jobs are outstanding.  A finished job wakes no socket,
+#: so this bounds how long its reply waits before it is noticed.
+_JOB_TICK_S = 0.005
 
 #: Bytes per recv.
 _RECV_SIZE = 65536
@@ -147,7 +150,8 @@ class SocketServer:
         self.ready.set()
         try:
             while True:
-                for key, events in sel.select(timeout=_TICK_S):
+                tick = _JOB_TICK_S if self._scheduler.outstanding else _TICK_S
+                for key, events in sel.select(timeout=tick):
                     if key.fileobj is listener:
                         self._accept(sel, listener)
                     elif events & selectors.EVENT_READ:

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.service.server as server_module
 from repro.circuits import build_circuit
 from repro.network.blif import write_blif
 from repro.obs.metrics import get_registry
@@ -116,6 +117,24 @@ class TestResponseOrdering:
             assert [r["blif"] for r in responses] \
                 == ["echo:" + b for b in blifs]
         assert get_registry().counter_value("server_connections_total") >= 8
+
+
+class TestReplyLatency:
+    def test_finished_job_does_not_wait_for_the_idle_tick(self, tmp_path):
+        # A worker finishing wakes no socket: while jobs are outstanding
+        # the loop must look at the scheduler well inside its idle tick.
+        server = SocketServer(_scripted_service(max_workers=2),
+                              socket_path=str(tmp_path / "srv.sock"))
+        with _running(server):
+            sock, reader = _raw_connect(server.address)
+            times = []
+            for i in range(9):
+                start = time.monotonic()
+                _send_lines(sock, [{"id": "r%d" % i, "blif": "x%d" % i}])
+                assert json.loads(reader.readline())["status"] == "ok"
+                times.append(time.monotonic() - start)
+            sock.close()
+        assert sorted(times)[len(times) // 2] < server_module._TICK_S
 
 
 class TestBackpressure:
