@@ -110,8 +110,16 @@ class BDSOptions:
 
         Unknown keys are ignored and missing keys take their defaults, so
         snapshots recorded by an older or newer revision still load.
+        Options arrive here off the wire, so ``data`` and its ``decomp``
+        entry must be objects; anything else raises ``TypeError``.
         """
+        if not isinstance(data, dict):
+            raise TypeError("options must be an object, not %s"
+                            % type(data).__name__)
         decomp_data = data.get("decomp") or {}
+        if not isinstance(decomp_data, dict):
+            raise TypeError("options.decomp must be an object, not %s"
+                            % type(decomp_data).__name__)
         decomp_fields = {f.name for f in fields(DecompOptions)}
         decomp = DecompOptions(**{k: v for k, v in decomp_data.items()
                                   if k in decomp_fields})

@@ -314,23 +314,21 @@ def _cmd_batch(args) -> int:
 def _cmd_serve(args) -> int:
     """Long-lived JSON-lines daemon.
 
-    Default transport is stdin/stdout (one request per input line, one
-    response per output line); ``--socket PATH`` / ``--port N`` instead
-    runs the concurrent socket front door (many clients, shared cache +
-    scheduler, SIGTERM drain) -- see docs/SERVICE.md for both wire
-    formats.
+    Default transport is stdin/stdout (one stream); ``--socket PATH`` /
+    ``--port N`` instead serves many concurrent clients with a SIGTERM
+    drain.  Both speak one protocol -- see docs/SERVICE.md.
     """
+    from repro.service.server import SocketServer, serve_stdio
+
     service = _service_from_args(args)
     if args.socket or args.port is not None:
-        from repro.service.server import SocketServer
-
         server = SocketServer(service, socket_path=args.socket,
                               host=args.host, port=args.port,
                               backlog=args.backlog)
         server.serve_forever()
         print("serve: drained cleanly", file=sys.stderr)
         return 0
-    served = service.serve(sys.stdin, sys.stdout)
+    served = serve_stdio(service, sys.stdin, sys.stdout, backlog=args.backlog)
     print("serve: handled %d request(s)" % served, file=sys.stderr)
     return 0
 
@@ -679,8 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--host", default="127.0.0.1",
                        help="bind address for --port (default 127.0.0.1)")
     p_srv.add_argument("--backlog", type=int, default=64, metavar="N",
-                       help="outstanding jobs before requests are refused "
-                            "with an 'overloaded' reply (default 64)")
+                       help="outstanding jobs at which a socket refuses "
+                            "requests with an 'overloaded' reply and "
+                            "stdin stops being read (default 64)")
     p_srv.set_defaults(func=_cmd_serve)
 
     p_cli = sub.add_parser("client", help="send BLIFs to a running "

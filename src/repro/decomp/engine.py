@@ -126,12 +126,6 @@ def _decompose(mgr: BDD, f: int, opts: DecompOptions, stats: DecompStats,
     return tree
 
 
-def _balance(mgr: BDD, refs) -> int:
-    """Selection score: the size of the largest part (favors balanced
-    splits, which the paper names as the lever for delay)."""
-    return max(node_count(mgr, r) for r in refs)
-
-
 def _try_structural(mgr, f, size, cuts, opts, stats, memo) -> Optional[FTree]:
     """Search priorities 1-3 together: simple dominators, functional MUX,
     generalized (Boolean) dominators.

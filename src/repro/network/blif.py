@@ -57,16 +57,23 @@ def parse_blif(text: str, validate: bool = True) -> Network:
         elif head.startswith("."):
             raise ValueError("unsupported BLIF construct: %s" % head)
         else:
-            # A cover row: input-plane then a single output bit.
+            # A cover row: one input-plane column per fanin (no plane for
+            # a constant node), then the output bit.
             if not current_names:
                 raise ValueError("cover row outside .names: %r" % tokens)
-            if len(current_names) == 1:
-                # Constant node: row is just the output bit.
-                plane, outbit = "", tokens[0]
-            else:
-                plane, outbit = tokens[0], tokens[1]
+            width = len(current_names) - 1
+            plane = tokens[0] if width else ""
+            outbit = tokens[-1]
+            if len(tokens) != (2 if width else 1) or len(plane) != width:
+                raise ValueError("cover row %r of %s: want %d input "
+                                 "column(s), then the output bit"
+                                 % (" ".join(tokens), current_names[-1],
+                                    width))
             if outbit == "0":
                 raise ValueError("offset (.names with output 0) not supported")
+            if outbit != "1":
+                raise ValueError("cover row %r of %s: output bit must be 1"
+                                 % (" ".join(tokens), current_names[-1]))
             cube = []
             for pos, ch in enumerate(plane):
                 if ch == "1":

@@ -12,13 +12,16 @@ Production-facing layer over the BDS flow:
   worker-crash recovery, deterministic result ordering, completion
   callbacks, one-verdict-per-job accounting.
 * :mod:`repro.service.api` -- :class:`OptimizationService` routing every
-  request through cache-lookup -> schedule -> cache-store;
-  :class:`ServiceSession` pipelines one request stream (ordered
-  responses) over a possibly shared scheduler; plus the JSON-lines
-  stdin daemon behind ``repro serve`` and ``repro batch``.
-* :mod:`repro.service.server` -- the concurrent socket front door
-  (``repro serve --socket/--port``): many clients, one shared
-  scheduler, explicit ``overloaded`` backpressure, SIGTERM drain.
+  request through cache-lookup -> schedule -> cache-store (``repro
+  batch``, ``repro optimize --cache-dir``); :class:`ServiceSession`
+  pipelines one request stream (ordered responses) over a shared
+  scheduler.
+* :mod:`repro.service.server` -- ``repro serve``: one JSON-lines
+  protocol for every stream, over two transports -- stdin/stdout
+  (:func:`repro.service.server.serve_stdio`) and the concurrent socket
+  server :class:`SocketServer` (``--socket/--port``: many clients, one
+  shared scheduler, explicit ``overloaded`` backpressure, SIGTERM
+  drain).
 * :mod:`repro.service.client` -- :class:`ServiceClient` speaking the
   socket protocol with jittered-backoff retry (``repro client``).
 """

@@ -1,9 +1,10 @@
 """The optimization service: cache-lookup -> schedule -> cache-store.
 
 :class:`OptimizationService` is the one front door every entry point
-(``repro batch``, ``repro serve``, the socket server in
-:mod:`repro.service.server`) routes through.  A request carries a BLIF
-netlist plus a :class:`repro.bds.flow.BDSOptions` snapshot; the service
+(``repro batch``, ``repro optimize --cache-dir``, and both transports
+of ``repro serve`` in :mod:`repro.service.server`) routes through.  A
+request carries a BLIF netlist plus a
+:class:`repro.bds.flow.BDSOptions` snapshot; the service
 
 1. keys the request into the content-addressed
    :class:`repro.service.cache.ArtifactCache` and answers hits without
@@ -14,29 +15,21 @@ netlist plus a :class:`repro.bds.flow.BDSOptions` snapshot; the service
 3. stores every successful result back into the cache.
 
 Concurrency is layered through :class:`ServiceSession`: one session is
-one pipelined request stream (a batch, the stdin loop, or one socket
-connection) whose responses come back **in that session's request
-order** regardless of worker completion order; many sessions can
-multiplex onto one shared scheduler, which is how the socket server
-overlaps clients.  A cache hit is byte-identical to the artifact
-originally stored (the BLIF text is returned verbatim, never
-re-serialized).
+one pipelined request stream (a batch, or one stream of ``repro
+serve``) whose responses come back **in that session's request order**
+regardless of worker completion order; many sessions can multiplex
+onto one shared scheduler, which is how the socket server overlaps
+clients.  A cache hit is byte-identical to the artifact originally
+stored (the BLIF text is returned verbatim, never re-serialized).
 
-``serve`` implements the stdin/stdout ``repro serve`` JSON-lines
-daemon: one request object per input line, one response object per
-output line, with requests pipelined onto the scheduler between lines.
-A ``{"cmd": "shutdown"}`` that interleaves with still-pending requests
-cancels them and emits the documented per-request ``cancelled``
-response for each before the final ack -- clients never hang waiting
-for a reply that was silently dropped.
+The JSON-lines protocol itself lives in :mod:`repro.service.server`.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, IO, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.bds.flow import BDSOptions
 from repro.obs.metrics import get_registry
@@ -111,18 +104,14 @@ class ServiceSession:
     schedules everything else with a completion callback; ``ready``
     pops finished responses **in submission order** (head-of-line:
     response *k* is never released before response *k-1*), which is the
-    per-connection ordering contract of both serve modes.  Sessions do
-    not own the scheduler -- many sessions multiplex onto one -- and
-    they obtain it lazily, so a session answered entirely from cache
-    never pays the scheduler's startup cost.
+    per-stream ordering contract of ``repro serve``.  Sessions do not
+    own the scheduler: many sessions multiplex onto one.
     """
 
     def __init__(self, service: "OptimizationService",
-                 scheduler_provider: Callable[[], OptimizationScheduler]) \
-            -> None:
+                 scheduler: OptimizationScheduler) -> None:
         self._service = service
-        self._scheduler_provider = scheduler_provider
-        self._scheduler: Optional[OptimizationScheduler] = None
+        self._scheduler = scheduler
         self._slots: List[Optional[ServiceResponse]] = []
         self._next_emit = 0
         self._unfilled = 0
@@ -141,8 +130,9 @@ class ServiceSession:
 
         Raises :class:`repro.service.scheduler.SchedulerFull` when the
         request needs scheduling and the queue is at capacity -- callers
-        either apply backpressure (batch/stdin modes) or convert it into
-        an explicit ``overloaded`` reply (the socket server).
+        either wait for room first (``process``, the stdin transport) or
+        convert it into an explicit ``overloaded`` reply (the socket
+        transport).
         """
         slot = len(self._slots)
         self._slots.append(None)
@@ -183,7 +173,6 @@ class ServiceSession:
                                    "options": req.options.to_dict()}
         if req.trace:
             payload["trace"] = True
-        sched = self.scheduler()
 
         def _on_complete(job: JobResult) -> None:
             self._jobs.pop(job.job_id, None)
@@ -204,36 +193,26 @@ class ServiceSession:
                     self._fill(fslot,
                                self._service._miss_response(freq, None, job))
 
-        job_id = sched.submit(payload, timeout=req.timeout,
-                              on_complete=_on_complete)
+        job_id = self._scheduler.submit(payload, timeout=req.timeout,
+                                        on_complete=_on_complete)
         self._jobs[job_id] = slot
 
     # -- progress -------------------------------------------------------
 
-    def scheduler(self) -> OptimizationScheduler:
-        """The session's scheduler, created on first need."""
-        if self._scheduler is None:
-            self._scheduler = self._scheduler_provider()
-        return self._scheduler
-
     @property
-    def scheduler_started(self) -> bool:
-        return self._scheduler is not None
+    def submitted(self) -> int:
+        """Requests admitted so far (the next request's slot index)."""
+        return len(self._slots)
 
     @property
     def outstanding(self) -> int:
         """Submitted requests not yet answered."""
         return self._unfilled
 
-    def poll(self) -> None:
-        """Advance the scheduler without blocking (fires completions)."""
-        if self._scheduler is not None:
-            self._scheduler.poll()
-
     def drain(self) -> None:
         """Block until every submitted request has a response."""
         while self._unfilled:
-            self.poll()
+            self._scheduler.poll()
             if self._unfilled:
                 time.sleep(_DRAIN_POLL)
 
@@ -268,7 +247,7 @@ class ServiceSession:
         for job_id in sorted(self._jobs):
             if self._slots[self._jobs[job_id]] is None:
                 cancelled += 1
-                self.scheduler().cancel(job_id)
+                self._scheduler.cancel(job_id)
         # Defensive: any slot somehow still unanswered is filled so the
         # response stream always terminates.
         for slot, resp in enumerate(self._slots):
@@ -289,30 +268,24 @@ class ServiceSession:
 class OptimizationService:
     """Batched optimization with artifact reuse (see module doc).
 
-    ``scheduler`` (optional) is an externally owned, long-lived
-    scheduler that every session of this service multiplexes onto --
-    the socket server's mode.  Without it, ``process``/``serve`` create
-    a private scheduler from ``scheduler_factory`` on first miss and
-    tear it down when done.
+    Every caller owns the scheduler it runs on: ``process`` makes one
+    per call, and each ``repro serve`` transport makes one that all of
+    its streams share (:meth:`make_scheduler`).
     """
 
     def __init__(self, cache: Optional[ArtifactCache] = None,
                  max_workers: int = 1, queue_cap: int = 64,
                  default_timeout: Optional[float] = None,
                  scheduler_factory: Callable[..., OptimizationScheduler]
-                 = OptimizationScheduler,
-                 scheduler: Optional[OptimizationScheduler] = None) -> None:
+                 = OptimizationScheduler) -> None:
         self.cache = cache
         self.max_workers = max_workers
         self.queue_cap = queue_cap
         self.default_timeout = default_timeout
         self._scheduler_factory = scheduler_factory
-        self._shared_scheduler = scheduler
         # Kernel counters aggregated over every response this service
         # produced (hits and misses alike); reported by the stats command.
         self._kernel: Dict[str, float] = {}
-
-    # -- sessions -------------------------------------------------------
 
     def make_scheduler(self) -> OptimizationScheduler:
         """A fresh scheduler with this service's settings (callers own
@@ -320,19 +293,6 @@ class OptimizationService:
         return self._scheduler_factory(
             max_workers=self.max_workers, queue_cap=self.queue_cap,
             default_timeout=self.default_timeout)
-
-    def session(self,
-                scheduler: Optional[OptimizationScheduler] = None) \
-            -> ServiceSession:
-        """A new pipelined session.  ``scheduler`` (or the service's
-        shared one) is used when given; otherwise the session lazily
-        creates -- but does not own -- one via :meth:`make_scheduler`,
-        so callers without a shared scheduler should use
-        :meth:`_owned_session` instead."""
-        shared = scheduler or self._shared_scheduler
-        if shared is not None:
-            return ServiceSession(self, lambda: shared)
-        return ServiceSession(self, self.make_scheduler)
 
     # -- core ----------------------------------------------------------
 
@@ -342,113 +302,19 @@ class OptimizationService:
         Backpressure, not rejection: past the scheduler's queue cap the
         call blocks until a slot frees up.
         """
-        session = self.session()
-        owned = self._shared_scheduler is None
+        scheduler = self.make_scheduler()
+        session = ServiceSession(self, scheduler)
         try:
             for req in requests:
-                self._backpressure(session)
+                scheduler.wait_for_room()
                 session.submit(req)
             session.drain()
         finally:
-            if owned and session.scheduler_started:
-                session.scheduler().shutdown()
+            scheduler.shutdown()
         return session.take_all()
 
     def optimize_one(self, request: ServiceRequest) -> ServiceResponse:
         return self.process([request])[0]
-
-    def _backpressure(self, session: ServiceSession) -> None:
-        """Block while the session's scheduler queue is at capacity."""
-        if not session.scheduler_started:
-            return
-        sched = session.scheduler()
-        while sched.outstanding >= sched.queue_cap:
-            sched.poll()
-            time.sleep(_DRAIN_POLL)
-
-    # -- JSON-lines daemon ---------------------------------------------
-
-    def serve(self, stdin: IO[str], stdout: IO[str]) -> int:
-        """Serve requests line by line until EOF or a shutdown command.
-
-        Request lines: ``{"blif": ..., "options": {...}, "id": ...,
-        "timeout": ..., "trace": ...}`` or ``{"cmd": "stats"}`` /
-        ``{"cmd": "metrics"}`` / ``{"cmd": "shutdown"}``.
-        Every line gets exactly one JSON response line; malformed lines
-        get ``{"status": "failed", ...}`` rather than killing the daemon.
-
-        Requests pipeline onto the scheduler between input lines;
-        responses to requests are emitted in request order.  ``stats``
-        and ``metrics`` drain outstanding work first (their numbers
-        cover everything submitted before them); ``shutdown`` instead
-        *cancels* outstanding work, emitting the per-request
-        ``cancelled`` response for every unanswered request before the
-        final ack.
-        """
-        session = self.session()
-        owned = self._shared_scheduler is None
-        served = 0
-
-        def flush() -> None:
-            nonlocal served
-            for resp in session.ready():
-                self._emit(stdout, dict(resp.to_json_obj(), id=resp.name))
-                served += 1
-
-        try:
-            for line in stdin:
-                line = line.strip()
-                if not line:
-                    continue
-                session.poll()
-                flush()
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as exc:
-                    self._emit(stdout, {"status": "failed",
-                                        "error": "bad request: %s" % exc})
-                    continue
-                cmd = obj.get("cmd")
-                if cmd == "shutdown":
-                    session.cancel_outstanding()
-                    flush()
-                    self._emit(stdout, {"status": "ok", "served": served})
-                    return served
-                if cmd == "stats":
-                    session.drain()
-                    flush()
-                    self._emit(stdout, self.stats(served))
-                    continue
-                if cmd == "metrics":
-                    session.drain()
-                    flush()
-                    self._emit(stdout, {
-                        "status": "ok", "format": "prometheus",
-                        "text": get_registry().render_prometheus()})
-                    continue
-                try:
-                    req = ServiceRequest(
-                        blif=obj["blif"],
-                        options=BDSOptions.from_dict(obj.get("options") or {}),
-                        name=str(obj.get("id", served + session.outstanding)),
-                        timeout=obj.get("timeout", self.default_timeout),
-                        trace=bool(obj.get("trace", False)))
-                except (KeyError, TypeError, ValueError) as exc:
-                    self._emit(stdout, {"status": "failed",
-                                        "error": "bad request: %s" % exc})
-                    continue
-                self._backpressure(session)
-                session.submit(req)
-                session.poll()
-                flush()
-            session.drain()
-            flush()
-            return served
-        finally:
-            if owned and session.scheduler_started:
-                session.scheduler().shutdown()
 
     def stats(self, served: int = 0) -> Dict[str, Any]:
         """The full ``{"cmd": "stats"}`` response object.
@@ -477,11 +343,6 @@ class OptimizationService:
         }
 
     # -- internals -----------------------------------------------------
-
-    @staticmethod
-    def _emit(stdout: IO[str], obj: Dict[str, Any]) -> None:
-        stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-        stdout.flush()
 
     def _note_response(self, resp: ServiceResponse) -> None:
         """Fold one finished response into the service-wide aggregates."""

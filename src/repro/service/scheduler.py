@@ -16,8 +16,8 @@ everything a job can do to a worker:
 * **Cancellation**: pending jobs are dropped from the queue; running jobs
   are terminated.
 * **Bounded queue**: ``submit`` raises :class:`SchedulerFull` beyond
-  ``queue_cap`` outstanding jobs (:meth:`OptimizationScheduler.run`
-  applies backpressure instead).
+  ``queue_cap`` outstanding jobs; callers that block instead wait in
+  :meth:`OptimizationScheduler.wait_for_room`.
 * **Deterministic ordering**: results are reported in submission order,
   whatever order workers finish in.
 * **Completion callbacks**: ``submit(..., on_complete=fn)`` fires ``fn``
@@ -301,11 +301,18 @@ class OptimizationScheduler:
         """Submit ``payloads`` with backpressure and drain: the one-call
         batch entry point, deterministic result order guaranteed."""
         for payload in payloads:
-            while self.outstanding >= self.queue_cap:
-                self._pump()
-                time.sleep(_POLL_INTERVAL)
+            self.wait_for_room()
             self.submit(payload, timeout=timeout)
         return self.wait()
+
+    def wait_for_room(self, limit: Optional[int] = None) -> None:
+        """Poll, blocking while ``limit`` (at most ``queue_cap``) or more
+        jobs are outstanding: the backpressure of every blocking caller."""
+        cap = self.queue_cap if limit is None else min(limit, self.queue_cap)
+        self._pump()
+        while self.outstanding >= cap:
+            time.sleep(_POLL_INTERVAL)
+            self._pump()
 
     def shutdown(self) -> None:
         """Cancel everything outstanding and reap every worker process."""
@@ -326,6 +333,10 @@ class OptimizationScheduler:
     # -- internals -----------------------------------------------------
 
     def _start(self, job: _Pending) -> None:
+        # The deadline before the fork: a timeout the clock cannot take
+        # raises here, not after a worker was started and left untracked.
+        deadline = None if job.timeout is None \
+            else time.monotonic() + job.timeout
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_child_main,
@@ -333,10 +344,9 @@ class OptimizationScheduler:
             daemon=True)
         proc.start()
         child_conn.close()
-        now = time.monotonic()
-        deadline = None if job.timeout is None else now + job.timeout
         self._running[job.job_id] = _Running(job.job_id, proc, parent_conn,
-                                             now, deadline, job.on_complete)
+                                             time.monotonic(), deadline,
+                                             job.on_complete)
 
     def _pump(self) -> None:
         now = time.monotonic()

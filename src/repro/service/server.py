@@ -1,37 +1,42 @@
-"""Concurrent socket front door for the optimization service.
+"""The ``repro serve`` front door: one JSON-lines protocol, two transports.
 
-``repro serve --socket PATH`` / ``--port N`` runs :class:`SocketServer`:
-a single-threaded, ``selectors``-driven event loop accepting many
-concurrent clients over a Unix-domain or TCP socket, speaking the same
-JSON-lines protocol as the stdin daemon (``docs/SERVICE.md``).  Each
-connection gets its own :class:`repro.service.api.ServiceSession`, and
-every session multiplexes onto **one** shared
-:class:`repro.service.scheduler.OptimizationScheduler` and one shared
-artifact cache -- the completion callbacks added to the scheduler are
-what let the loop pipeline requests from one client while another
-client's jobs are still running, without ever blocking in submission
-order.
+:class:`_Dispatcher` is the protocol, and every stream goes through it:
+each connection of :class:`SocketServer` and the one stream of
+:func:`serve_stdio`.  It parses request lines (:func:`_parse_request`
+is the one reader of request fields), answers the ``stats`` /
+``metrics`` / ``shutdown`` commands, refuses with ``bad request`` /
+``overloaded`` / ``server draining`` replies, and pumps each stream's
+replies out in request order, timing each into the
+``server_request_seconds`` histogram.  A stream is one
+:class:`repro.service.api.ServiceSession`; all streams of a transport
+multiplex onto one shared
+:class:`repro.service.scheduler.OptimizationScheduler` and the
+service's one artifact cache.
 
-Contracts (the tentpole's acceptance criteria):
+Both transports (``docs/SERVICE.md``):
 
-* **Per-connection response order** -- responses to *requests* on a
-  connection are emitted in that connection's request order, exactly
-  like the stdin mode.  Command replies (``stats``/``metrics``) and
-  rejection replies (``overloaded``, malformed) are immediate and
-  therefore out of band; they carry the request's ``id`` where one was
-  given.
-* **Explicit backpressure** -- once the shared scheduler has ``backlog``
-  jobs outstanding, further requests are answered immediately with
-  ``{"status": "overloaded", "error": "overloaded", "retry_after": s}``
-  rather than silently queueing.  The paired
+* **Order** -- replies to requests come in the stream's request order.
+  Command and rejection replies are written when their line is read,
+  out of band, and every rejection echoes the line's ``id``.
+* **Names** -- a request without an ``id`` (or ``"id": null``) is named
+  by its position among the stream's admitted requests.
+* **Shutdown** -- ``{"cmd": "shutdown"}`` cancels the stream's
+  outstanding requests (each still gets its ``cancelled`` reply, in
+  order), acks, and closes the stream; on stdin that ends the daemon.
+
+What the transports still do differently:
+
+* **EOF** -- :func:`serve_stdio` answers every outstanding request; a
+  socket peer that hangs up has its requests cancelled.
+* **Backpressure** -- with ``backlog`` jobs outstanding the socket
+  replies ``{"status": "overloaded", "retry_after": s}`` (the paired
   :class:`repro.service.client.ServiceClient` retries these with
-  jittered exponential backoff.
-* **Graceful drain** -- SIGTERM stops accepting connections, lets
-  running jobs finish, flushes every response buffer, then exits 0.
-  Requests arriving *during* the drain are answered
-  ``{"status": "cancelled", "error": "server draining"}``; a second
-  SIGTERM force-cancels outstanding jobs (each still gets its
-  documented ``cancelled`` response -- no client is left hanging).
+  jittered exponential backoff); the stdin loop stops reading instead.
+* **Drain** -- socket only.  SIGTERM stops accepting connections, lets
+  running jobs finish, flushes every reply buffer, then exits 0;
+  requests read meanwhile are answered ``{"status": "cancelled",
+  "error": "server draining"}``, and a second SIGTERM cancels what is
+  outstanding (each request still gets its reply).
 
 Metrics (``repro_`` prefix via the registry): ``server_connections``
 (gauge), ``server_connections_total``, ``server_backpressure_total``
@@ -41,19 +46,22 @@ admission to response).
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
+import re
 import selectors
 import signal
 import socket
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import IO, Any, Dict, Optional
 
 from repro.bds.flow import BDSOptions
 from repro.obs.metrics import get_registry
 from repro.service.api import OptimizationService, ServiceRequest, ServiceSession
-from repro.service.scheduler import OptimizationScheduler, SchedulerFull
+from repro.service.scheduler import SchedulerFull
 
 #: Event-loop tick: the select timeout bounding scheduler-poll latency.
 _TICK_S = 0.05
@@ -67,32 +75,214 @@ _RECV_SIZE = 65536
 #: Default ``retry_after`` hint (seconds) on overloaded replies.
 DEFAULT_RETRY_AFTER = 0.25
 
-#: Default backlog: scheduler jobs outstanding before overloaded replies.
+#: Default backlog: scheduler jobs outstanding at which a socket replies
+#: ``overloaded`` and the stdin loop stops reading.
 DEFAULT_BACKLOG = 64
 
 #: Hard cap on one line (a request is one line; a 16 MiB line is abuse).
 _MAX_LINE = 16 * 1024 * 1024
 
+#: Most arrays and objects one line may open outside its strings.
+#: ``import repro`` raises the recursion limit for the BDD kernel, so a
+#: line nested some 100,000 deep overflows the C stack inside
+#: ``json.loads``: the daemon dies instead of raising RecursionError.
+_MAX_CONTAINERS = 1000
+#: A JSON string literal (BLIF names may hold brackets, e.g. ``a[3]``).
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 
-class _Connection:
-    """Per-client state: socket, session, buffers, latency clocks."""
 
-    def __init__(self, sock: socket.socket, session: ServiceSession) -> None:
-        self.sock = sock
+class _Stream:
+    """One JSON-lines stream: its session, buffers and latency clocks."""
+
+    def __init__(self, session: ServiceSession) -> None:
         self.session = session
+        #: Received bytes not yet split into lines (socket transport).
         self.rbuf = b""
+        #: Encoded reply lines the transport has not written yet.
         self.wbuf = b""
         #: slot index -> admission time, for the latency histogram.
         self.t0: Dict[int, float] = {}
-        #: responses emitted so far == next slot ``ready()`` will yield.
-        self.emitted = 0
+        #: Requests answered so far == the next slot ``ready()`` yields.
         self.served = 0
-        #: half-closed: flush ``wbuf``, then close (set by ``shutdown``).
+        #: ``shutdown`` was read: write ``wbuf``, then close.
         self.closing = False
 
 
+class _Dispatcher:
+    """The JSON-lines protocol over one shared scheduler (module doc)."""
+
+    def __init__(self, service: OptimizationService, backlog: int,
+                 retry_after: float = DEFAULT_RETRY_AFTER) -> None:
+        self.service = service
+        self.scheduler = service.make_scheduler()
+        self.backlog = max(1, backlog)
+        self.retry_after = retry_after
+        #: Refuse new requests (the socket transport's SIGTERM drain).
+        self.draining = False
+        self._metrics = get_registry()
+
+    def open_stream(self) -> _Stream:
+        return _Stream(ServiceSession(self.service, self.scheduler))
+
+    def handle_line(self, stream: _Stream, line: str) -> None:
+        """Answer, refuse or admit one line of ``stream``."""
+        line = line.strip()
+        if not line:
+            return
+        try:
+            if _too_nested(line):
+                raise ValueError("more than %d arrays and objects"
+                                 % _MAX_CONTAINERS)
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("request must be a JSON object")
+        except ValueError as exc:
+            _send(stream, {"status": "failed",
+                           "error": "bad request: %s" % exc})
+            return
+        cmd = obj.get("cmd")
+        if cmd == "stats":
+            _send(stream, self.service.stats(stream.served))
+            return
+        if cmd == "metrics":
+            _send(stream, {"status": "ok", "format": "prometheus",
+                           "text": self._metrics.render_prometheus()})
+            return
+        if cmd == "shutdown":
+            # Stream-scoped: a socket server is stopped by SIGTERM, not
+            # by a client command.
+            stream.session.cancel_outstanding()
+            self.pump(stream)
+            _send(stream, {"status": "ok", "served": stream.served})
+            stream.closing = True
+            return
+        req_id = obj.get("id")
+        if self.draining:
+            _send(stream, _with_id({"status": "cancelled",
+                                    "error": "server draining"}, req_id))
+            return
+        if self.scheduler.outstanding >= self.backlog:
+            self._reject_overloaded(stream, req_id)
+            return
+        name = str(req_id if req_id is not None else stream.session.submitted)
+        try:
+            req = _parse_request(obj, name, self.service.default_timeout)
+        except (TypeError, ValueError) as exc:
+            _send(stream, _with_id({"status": "failed",
+                                    "error": "bad request: %s" % exc},
+                                   req_id))
+            return
+        admitted = time.monotonic()
+        try:
+            slot = stream.session.submit(req)
+        except SchedulerFull:
+            self._reject_overloaded(stream, req_id)
+            return
+        stream.t0[slot] = admitted
+        self.pump(stream)
+
+    def pump(self, stream: _Stream) -> None:
+        """Move the stream's finished replies, in request order, into its
+        write buffer."""
+        for resp in stream.session.ready():
+            t0 = stream.t0.pop(stream.served, None)
+            if t0 is not None:
+                self._metrics.histogram("server_request_seconds").observe(
+                    time.monotonic() - t0)
+            _send(stream, dict(resp.to_json_obj(), id=resp.name))
+            stream.served += 1
+
+    def _reject_overloaded(self, stream: _Stream, req_id: Any) -> None:
+        self._metrics.counter("server_backpressure_total").inc()
+        _send(stream, _with_id({"status": "overloaded",
+                                "error": "overloaded",
+                                "retry_after": self.retry_after},
+                               req_id))
+
+
+def _too_nested(line: str) -> bool:
+    """Whether ``line`` opens more than :data:`_MAX_CONTAINERS` arrays
+    and objects outside its strings (a bound on its nesting depth)."""
+    def opened(text: str) -> int:
+        return text.count("[") + text.count("{")
+
+    return opened(line) > _MAX_CONTAINERS \
+        and opened(_JSON_STRING.sub("", line)) > _MAX_CONTAINERS
+
+
+def _send(stream: _Stream, obj: Dict[str, Any]) -> None:
+    stream.wbuf += (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _parse_request(obj: Dict[str, Any], name: str,
+                   default_timeout: Optional[float]) -> ServiceRequest:
+    """The one reader of request fields.  Raises ``TypeError`` or
+    ``ValueError`` for any value a worker could not take."""
+    blif = obj.get("blif")
+    if not isinstance(blif, str):
+        raise TypeError('"blif" must be a string' if "blif" in obj
+                        else 'missing "blif"')
+    timeout = obj.get("timeout")
+    if timeout is None:
+        timeout = default_timeout
+    elif isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
+            or not 0 < timeout < math.inf:
+        raise ValueError('"timeout" must be null or a positive number of '
+                         'seconds, not %s' % json.dumps(timeout))
+    options = obj.get("options")
+    return ServiceRequest(
+        blif=blif,
+        options=BDSOptions.from_dict({} if options is None else options),
+        name=name, timeout=timeout, trace=bool(obj.get("trace", False)))
+
+
+def _with_id(obj: Dict[str, Any], req_id: Any) -> Dict[str, Any]:
+    if req_id is not None:
+        obj = dict(obj, id=req_id)
+    return obj
+
+
+def serve_stdio(service: OptimizationService, stdin: IO[str],
+                stdout: IO[str], backlog: int = DEFAULT_BACKLOG) -> int:
+    """Serve one JSON-lines stream on ``stdin``/``stdout`` until EOF or
+    a ``shutdown`` line; returns the number of requests answered.
+
+    The transport loop only: a line is read once fewer than ``backlog``
+    jobs are outstanding, and at EOF every outstanding request is
+    answered before the function returns.
+    """
+    if isinstance(stdin, io.TextIOWrapper):
+        # UTF-8 whatever the locale, undecodable bytes replaced, as the
+        # socket transport decodes: a stray byte fails only its line.
+        stdin.reconfigure(encoding="utf-8", errors="replace")
+    dispatcher = _Dispatcher(service, backlog)
+    scheduler = dispatcher.scheduler
+    stream = dispatcher.open_stream()
+
+    def write() -> None:
+        dispatcher.pump(stream)
+        if stream.wbuf:
+            stdout.write(stream.wbuf.decode("utf-8"))
+            stdout.flush()
+            stream.wbuf = b""
+
+    try:
+        while not stream.closing:
+            scheduler.wait_for_room(dispatcher.backlog)
+            write()
+            line = stdin.readline()
+            if not line:
+                stream.session.drain()
+                break
+            dispatcher.handle_line(stream, line)
+        write()
+    finally:
+        scheduler.shutdown()
+    return stream.served
+
+
 class SocketServer:
-    """Socket front door over one shared scheduler (see module doc).
+    """Socket transport over one shared scheduler (see module doc).
 
     Exactly one of ``socket_path`` (AF_UNIX) or ``port`` (TCP; ``0``
     binds an ephemeral port, read back from :attr:`address`) must be
@@ -111,15 +301,11 @@ class SocketServer:
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.backlog = max(1, backlog)
-        self.retry_after = retry_after
         self.ready = threading.Event()
         #: Bound address once listening: the socket path, or (host, port).
         self.address: Any = None
-        self._listener: Optional[socket.socket] = None
-        self._scheduler: Optional[OptimizationScheduler] = None
-        self._conns: Dict[socket.socket, _Connection] = {}
-        self._draining = False
+        self._dispatcher = _Dispatcher(service, backlog, retry_after)
+        self._conns: Dict[socket.socket, _Stream] = {}
         self._force = False
         self._metrics = get_registry()
 
@@ -131,9 +317,9 @@ class SocketServer:
         Safe from a signal handler or another thread: it only sets
         flags; the event loop acts on them at the next tick.
         """
-        if self._draining:
+        if self._dispatcher.draining:
             self._force = True
-        self._draining = True
+        self._dispatcher.draining = True
 
     # -- lifecycle ------------------------------------------------------
 
@@ -142,7 +328,7 @@ class SocketServer:
 
         Returns the process exit code: 0 after a clean drain.
         """
-        self._scheduler = self.service.make_scheduler()
+        scheduler = self._dispatcher.scheduler
         listener = self._open_listener()
         sel = selectors.DefaultSelector()
         sel.register(listener, selectors.EVENT_READ)
@@ -150,7 +336,7 @@ class SocketServer:
         self.ready.set()
         try:
             while True:
-                tick = _JOB_TICK_S if self._scheduler.outstanding else _TICK_S
+                tick = _JOB_TICK_S if scheduler.outstanding else _TICK_S
                 for key, events in sel.select(timeout=tick):
                     if key.fileobj is listener:
                         self._accept(sel, listener)
@@ -158,7 +344,7 @@ class SocketServer:
                         self._read(sel, key.fileobj)  # type: ignore[arg-type]
                     elif events & selectors.EVENT_WRITE:
                         self._write(sel, key.fileobj)  # type: ignore[arg-type]
-                self._scheduler.poll()
+                scheduler.poll()
                 if self._force:
                     for conn in list(self._conns.values()):
                         conn.session.cancel_outstanding()
@@ -167,7 +353,7 @@ class SocketServer:
                     conn = self._conns.get(sock)
                     if conn is None:
                         continue
-                    self._pump_session(conn)
+                    self._dispatcher.pump(conn)
                     self._write(sel, sock)
                     if conn.closing and not conn.wbuf \
                             and sock in self._conns:
@@ -175,7 +361,7 @@ class SocketServer:
                         continue
                     if sock in self._conns:
                         self._update_mask(sel, sock)
-                if self._draining:
+                if self._dispatcher.draining:
                     if listener.fileno() != -1:
                         sel.unregister(listener)
                         listener.close()
@@ -192,7 +378,7 @@ class SocketServer:
                     pass
                 listener.close()
             sel.close()
-            self._scheduler.shutdown()
+            scheduler.shutdown()
             self._remove_socket_file()
         return 0
 
@@ -214,7 +400,6 @@ class SocketServer:
             self.address = listener.getsockname()
         listener.listen(128)
         listener.setblocking(False)
-        self._listener = listener
         return listener
 
     def _remove_socket_file(self) -> None:
@@ -245,14 +430,11 @@ class SocketServer:
                 sock, _addr = listener.accept()
             except (BlockingIOError, OSError):
                 return
-            if self._draining:
+            if self._dispatcher.draining:
                 sock.close()
                 continue
             sock.setblocking(False)
-            assert self._scheduler is not None
-            conn = _Connection(
-                sock, self.service.session(scheduler=self._scheduler))
-            self._conns[sock] = conn
+            self._conns[sock] = self._dispatcher.open_stream()
             sel.register(sock, selectors.EVENT_READ)
             self._metrics.counter("server_connections_total").inc()
             self._metrics.gauge("server_connections").set(len(self._conns))
@@ -289,17 +471,14 @@ class SocketServer:
             return
         conn.rbuf += data
         if len(conn.rbuf) > _MAX_LINE:
-            self._send(conn, {"status": "failed",
-                              "error": "request line too long"})
+            _send(conn, {"status": "failed",
+                         "error": "request line too long"})
             conn.closing = True
             return
-        while b"\n" in conn.rbuf:
+        while b"\n" in conn.rbuf and not conn.closing:
             line, conn.rbuf = conn.rbuf.split(b"\n", 1)
-            text = line.decode("utf-8", errors="replace").strip()
-            if text:
-                self._handle_line(conn, text)
-            if conn.closing:
-                break
+            self._dispatcher.handle_line(
+                conn, line.decode("utf-8", errors="replace"))
 
     def _write(self, sel: selectors.BaseSelector,
                sock: socket.socket) -> None:
@@ -326,92 +505,3 @@ class SocketServer:
             sel.modify(sock, mask)
         except (KeyError, ValueError):
             pass
-
-    # -- protocol -------------------------------------------------------
-
-    def _handle_line(self, conn: _Connection, text: str) -> None:
-        try:
-            obj = json.loads(text)
-            if not isinstance(obj, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            self._send(conn, {"status": "failed",
-                              "error": "bad request: %s" % exc})
-            return
-        cmd = obj.get("cmd")
-        if cmd == "stats":
-            self._send(conn, self.service.stats(conn.served))
-            return
-        if cmd == "metrics":
-            self._send(conn, {"status": "ok", "format": "prometheus",
-                              "text": get_registry().render_prometheus()})
-            return
-        if cmd == "shutdown":
-            # Connection-scoped: cancel this client's outstanding work
-            # (each request still gets its cancelled response, in
-            # order), ack, flush, close.  The *server* is stopped by
-            # SIGTERM, not by a client command.
-            conn.session.cancel_outstanding()
-            self._pump_session(conn)
-            self._send(conn, {"status": "ok", "served": conn.served})
-            conn.closing = True
-            return
-        req_id = obj.get("id")
-        if self._draining:
-            self._send(conn, _with_id({"status": "cancelled",
-                                       "error": "server draining"}, req_id))
-            return
-        assert self._scheduler is not None
-        if self._scheduler.outstanding >= self.backlog:
-            self._reject_overloaded(conn, req_id)
-            return
-        try:
-            req = ServiceRequest(
-                blif=obj["blif"],
-                options=BDSOptions.from_dict(obj.get("options") or {}),
-                name=str(req_id if req_id is not None
-                         else conn.served + conn.session.outstanding),
-                timeout=obj.get("timeout", self.service.default_timeout),
-                trace=bool(obj.get("trace", False)))
-        except (KeyError, TypeError, ValueError) as exc:
-            self._send(conn, _with_id({"status": "failed",
-                                       "error": "bad request: %s" % exc},
-                                      req_id))
-            return
-        admitted = time.monotonic()
-        try:
-            slot = conn.session.submit(req)
-        except SchedulerFull:
-            self._reject_overloaded(conn, req_id)
-            return
-        conn.t0[slot] = admitted
-        self._pump_session(conn)
-
-    def _reject_overloaded(self, conn: _Connection,
-                           req_id: Any) -> None:
-        self._metrics.counter("server_backpressure_total").inc()
-        self._send(conn, _with_id({"status": "overloaded",
-                                   "error": "overloaded",
-                                   "retry_after": self.retry_after},
-                                  req_id))
-
-    def _pump_session(self, conn: _Connection) -> None:
-        """Move completed session responses into the write buffer."""
-        for resp in conn.session.ready():
-            slot = conn.emitted
-            conn.emitted += 1
-            t0 = conn.t0.pop(slot, None)
-            if t0 is not None:
-                self._metrics.histogram("server_request_seconds").observe(
-                    time.monotonic() - t0)
-            self._send(conn, dict(resp.to_json_obj(), id=resp.name))
-            conn.served += 1
-
-    def _send(self, conn: _Connection, obj: Dict[str, Any]) -> None:
-        conn.wbuf += (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _with_id(obj: Dict[str, Any], req_id: Any) -> Dict[str, Any]:
-    if req_id is not None:
-        obj = dict(obj, id=req_id)
-    return obj

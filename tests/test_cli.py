@@ -241,17 +241,19 @@ class TestServeCommand:
         import json
         import sys as _sys
 
-        # The stats command drains in-flight work, so the shutdown that
-        # follows finds nothing to cancel (a shutdown racing a pending
-        # request answers it ``cancelled`` instead -- see
-        # tests/test_service_api.py).
+        # Commands are answered when read.  With --backlog 1 stdin is
+        # read on only once r1 is answered, so stats covers it and the
+        # shutdown that follows finds nothing to cancel (a shutdown
+        # racing a pending request answers it ``cancelled`` instead --
+        # see tests/test_service_api.py).
         request = json.dumps({"blif": open(blif_file).read(), "id": "r1"})
         stats = json.dumps({"cmd": "stats"})
         shutdown = json.dumps({"cmd": "shutdown"})
         monkeypatch.setattr(
             _sys, "stdin",
             io.StringIO(request + "\n" + stats + "\n" + shutdown + "\n"))
-        rc = main(["serve", "--cache-dir", str(tmp_path / "cache")])
+        rc = main(["serve", "--cache-dir", str(tmp_path / "cache"),
+                   "--backlog", "1"])
         assert rc == 0
         lines = [json.loads(line)
                  for line in capsys.readouterr().out.splitlines()]

@@ -1,6 +1,7 @@
 """Tests for the Boolean network core and BLIF I/O."""
 
 import itertools
+import re
 
 import pytest
 
@@ -185,6 +186,27 @@ class TestBlif:
     def test_unsupported_construct(self):
         with pytest.raises(ValueError):
             parse_blif(".model t\n.latch a b\n.end\n")
+
+    # Each malformed cover row is refused by name.  Trusted, a row
+    # without its output bit raises IndexError, a short plane reads as
+    # don't-cares (a different function), and any output bit other than
+    # 0 reads as 1.
+    @pytest.mark.parametrize("names, row, message", [
+        ("a b y", "01", "cover row '01' of y"),            # no output bit
+        ("a b y", "0 1", "cover row '0 1' of y"),          # short plane
+        ("a b y", "011 1", "cover row '011 1' of y"),      # long plane
+        ("a b y", "01 1 1", "cover row '01 1 1' of y"),    # extra column
+        ("a b y", "01 x", "output bit must be 1"),         # bad output bit
+        ("a b y", "01 0", "offset"),                       # offset cover
+        ("y", "1 1", "cover row '1 1' of y"),              # constant + plane
+        ("y", "x", "output bit must be 1"),                # constant bit
+    ])
+    def test_malformed_cover_row_is_refused(self, names, row, message):
+        inputs = " ".join(names.split()[:-1])
+        text = ".model t\n.inputs %s\n.outputs y\n.names %s\n%s\n.end\n" \
+            % (inputs, names, row)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_blif(text)
 
     def test_write_constant_zero(self):
         net = Network()

@@ -1,6 +1,7 @@
 """Tests for the batched optimization service (repro.service.api):
-cache routing, request/response ordering, the JSON-lines daemon, and
-the warm-cache speedup acceptance criterion."""
+cache routing, request/response ordering, the stdin transport of the
+JSON-lines daemon (repro.service.server.serve_stdio), and the
+warm-cache speedup acceptance criterion."""
 
 import io
 import json
@@ -14,6 +15,7 @@ from repro.circuits.registry import TABLE1_CIRCUITS
 from repro.network.blif import parse_blif, write_blif
 from repro.obs.metrics import get_registry
 from repro.service import (ArtifactCache, OptimizationService, ServiceRequest)
+from repro.service.server import DEFAULT_BACKLOG, serve_stdio
 from repro.verify import verify_networks
 
 SMALL = ["add4", "add8", "cmp8", "parity8", "rl_mux"]
@@ -100,19 +102,24 @@ class TestBatchRouting:
 
 
 class TestServeLoop:
-    def _serve(self, lines, cache=None):
+    def _serve(self, lines, cache=None, backlog=DEFAULT_BACKLOG):
         service = OptimizationService(cache=cache)
         out = io.StringIO()
-        served = service.serve(io.StringIO("\n".join(lines) + "\n"), out)
+        served = serve_stdio(service, io.StringIO("\n".join(lines) + "\n"),
+                             out, backlog=backlog)
         return served, [json.loads(line) for line in out.getvalue().splitlines()]
 
     def test_request_stats_shutdown(self, tmp_path):
+        # Commands are answered when read.  With backlog 1 the loop reads
+        # the next line only once job-a is answered, so stats covers the
+        # finished job and shutdown finds nothing left to cancel.
         blif = write_blif(build_circuit("add4"))
         lines = [json.dumps({"blif": blif, "id": "job-a"}),
                  json.dumps({"cmd": "stats"}),
                  json.dumps({"cmd": "shutdown"}),
                  json.dumps({"blif": blif, "id": "never-reached"})]
-        served, out = self._serve(lines, cache=ArtifactCache(str(tmp_path)))
+        served, out = self._serve(lines, cache=ArtifactCache(str(tmp_path)),
+                                  backlog=1)
         assert served == 1
         assert out[0]["id"] == "job-a" and out[0]["status"] == "ok"
         assert out[1]["cache"]["artifact_cache_misses"] == 1
@@ -129,6 +136,18 @@ class TestServeLoop:
         assert [o["status"] for o in out] == ["failed", "failed", "failed",
                                               "ok"]
         assert out[3]["id"] == "ok-after-junk"
+
+    def test_undecodable_bytes_fail_only_their_line(self):
+        # Decoded as UTF-8 with replacement, as on a socket: under a
+        # strict locale codec a stray byte would end the daemon.
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b'\xff{"cmd": "stats"}\n{"cmd": "stats"}\n'),
+            encoding="utf-8", errors="strict")
+        out = io.StringIO()
+        serve_stdio(OptimizationService(), stdin, out)
+        bad, stats = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert bad["status"] == "failed" and "bad request" in bad["error"]
+        assert stats["status"] == "ok" and "cache" in stats
 
     def test_serve_hits_cache_across_lines(self, tmp_path):
         blif = write_blif(build_circuit("cmp8"))
@@ -147,7 +166,9 @@ class TestServeLoop:
         blif = write_blif(build_circuit("add4"))
         lines = [json.dumps({"blif": blif, "id": "job-a"}),
                  json.dumps({"cmd": "stats"})]
-        _served, out = self._serve(lines, cache=ArtifactCache(str(tmp_path)))
+        # Backlog 1: stats is read only after job-a is answered.
+        _served, out = self._serve(lines, cache=ArtifactCache(str(tmp_path)),
+                                   backlog=1)
         stats = out[1]
         assert stats["cache"]["artifact_cache_misses"] == 1
         sched = stats["scheduler"]
@@ -169,7 +190,9 @@ class TestServeLoop:
         blif = write_blif(build_circuit("add4"))
         lines = [json.dumps({"blif": blif, "id": "job-a"}),
                  json.dumps({"cmd": "metrics"})]
-        _served, out = self._serve(lines, cache=ArtifactCache(str(tmp_path)))
+        # Backlog 1: metrics is read only after job-a is answered.
+        _served, out = self._serve(lines, cache=ArtifactCache(str(tmp_path)),
+                                   backlog=1)
         assert out[1]["status"] == "ok"
         text = out[1]["text"]
         assert "# TYPE repro_scheduler_jobs_total counter" in text
@@ -188,7 +211,8 @@ class TestServeLoop:
                  json.dumps({"blif": "sleep:30", "id": "queued"}),
                  json.dumps({"cmd": "shutdown"})]
         out_io = io.StringIO()
-        served = service.serve(io.StringIO("\n".join(lines) + "\n"), out_io)
+        served = serve_stdio(service, io.StringIO("\n".join(lines) + "\n"),
+                             out_io)
         out = [json.loads(line) for line in
                out_io.getvalue().splitlines()]
         assert served == 2
@@ -206,7 +230,7 @@ class TestServeLoop:
         lines = [json.dumps({"blif": "sleep:0.4", "id": "slow"}),
                  json.dumps({"blif": "quick", "id": "quick"})]
         out_io = io.StringIO()
-        service.serve(io.StringIO("\n".join(lines) + "\n"), out_io)
+        serve_stdio(service, io.StringIO("\n".join(lines) + "\n"), out_io)
         out = [json.loads(line) for line in out_io.getvalue().splitlines()]
         assert [o["id"] for o in out] == ["slow", "quick"]
         assert [o["status"] for o in out] == ["ok", "ok"]

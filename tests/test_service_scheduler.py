@@ -105,6 +105,17 @@ class TestOrdering:
 
 
 class TestTimeout:
+    def test_unusable_timeout_raises_before_a_worker_starts(self):
+        # The deadline is computed before the fork: a timeout that cannot
+        # be added to the clock must not leave an untracked worker.
+        before = set(multiprocessing.active_children())
+        with OptimizationScheduler(max_workers=1,
+                                   worker=_sleep_worker) as sched:
+            with pytest.raises(TypeError):
+                sched.submit({"sleep": 30}, timeout="x")
+            assert set(multiprocessing.active_children()) == before
+            assert sched.outstanding == 0
+
     def test_graceful_in_worker_timeout(self):
         """The SIGALRM/BddBudgetExceeded path reports within the budget."""
         with OptimizationScheduler(max_workers=1, worker=_sleep_worker,
