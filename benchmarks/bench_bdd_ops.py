@@ -4,7 +4,7 @@ Not a paper table -- these keep the performance of the primitives that
 every experiment depends on (ITE throughput, sifting, transfer, ISOP)
 visible in the benchmark report, so regressions in the substrate are
 caught next to the system-level numbers.  ``test_reorder_microbench``
-additionally emits ``BENCH_reorder.json`` (results dir + repo root):
+additionally emits ``benchmarks/results/BENCH_reorder.json``:
 the reordering engine's CPU numbers on the Table I circuits, with the
 pre-incremental-engine baseline recorded for before/after evidence.
 """
@@ -180,4 +180,4 @@ def test_reorder_microbench():
         # Sifted sizes must never be worse than the seed implementation's.
         assert entry["size_after"] <= _SEED_BASELINE[
             "global_sifted_size"][cname]
-    write_bench_json(payload, "BENCH_reorder.json", root_copy=True)
+    write_bench_json(payload, "BENCH_reorder.json")

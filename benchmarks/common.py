@@ -94,28 +94,18 @@ def run_system(net: Network, system: str, verify: bool = True,
     )
 
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def write_bench_json(payload: Dict, filename: str,
-                     root_copy: bool = True) -> str:
+def write_bench_json(payload: Dict, filename: str) -> str:
     """Write machine-readable bench metrics next to the text tables.
 
     Future PRs diff these files to track the perf trajectory.  Every
-    ``BENCH_*.json`` lands in *both* canonical locations -- the results
-    dir and the repository root -- so cross-PR tooling finds them without
-    knowing the results layout (``root_copy=False`` opts out for
-    non-baseline payloads).  ``aggregate_bench_json`` folds all of them
-    into ``BENCH_all.json``.
+    ``BENCH_*.json`` baseline has one location, the results dir;
+    ``aggregate_bench_json`` folds all of them into ``BENCH_all.json``.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, filename)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
-    if root_copy:
-        with open(os.path.join(REPO_ROOT, filename), "w") as fh:
-            fh.write(text)
     return path
 
 
@@ -129,8 +119,8 @@ def aggregate_bench_json(filename: str = "BENCH_all.json") -> Dict:
     """Merge every committed ``BENCH_*.json`` baseline into one document.
 
     The aggregate maps each baseline's short name (``kernel`` for
-    ``BENCH_kernel.json``, ...) to its payload and is written to both
-    canonical locations like any other baseline.  Run directly as
+    ``BENCH_kernel.json``, ...) to its payload and is written next to
+    them like any other baseline.  Run directly as
     ``python benchmarks/common.py`` after regenerating benchmarks.
     """
     merged: Dict[str, Dict] = {}

@@ -13,7 +13,8 @@ from repro.bdd.serialize import dumps, loads
 from repro.bds import bds_optimize
 from repro.circuits.extra import carry_lookahead_adder
 from repro.mapping import analyze_timing, format_timing, map_network
-from repro.network.cones import extract_cone, mffc, transitive_fanin
+from repro.network.cones import (extract_cone, global_bdd, initial_order,
+                                 mffc, transitive_fanin)
 from repro.verify import check_equivalence
 
 
@@ -36,10 +37,9 @@ def main():
     print("standalone cone:", cone.stats())
 
     # Serialize the cone output's global BDD and read it back.
-    from repro.verify.cec import _global_bdd, _initial_order
     mgr = BDD()
-    var_of = {n: mgr.new_var(n) for n in _initial_order(cone)}
-    ref = _global_bdd(mgr, cone, worst, var_of, {}, size_cap=100000)
+    var_of = {n: mgr.new_var(n) for n in initial_order(cone)}
+    ref = global_bdd(mgr, cone, worst, var_of, {}, size_cap=100000)
     text = dumps(mgr, [ref])
     mgr2, (back,) = loads(text)
     print("BDD dump: %d lines, reload %s"

@@ -288,9 +288,6 @@ class BDD:
         lo, hi = self._lo[idx], self._hi[idx]
         return (lo == ZERO and hi == ONE) or (lo == ONE and hi == ZERO)
 
-    def is_complemented(self, ref: int) -> bool:
-        return bool(ref & 1)
-
     def children(self, ref: int) -> Tuple[int, int]:
         """Phase-corrected (else, then) child refs of ``ref``.
 
@@ -634,13 +631,6 @@ class BDD:
         self._cache.insert(key, r)
         return r
 
-    def cofactor_cube(self, f: int, assignment: Dict[int, bool]) -> int:
-        """Cofactor with respect to several variable assignments."""
-        out = f
-        for var, value in assignment.items():
-            out = self.cofactor(out, var, value)
-        return out
-
     def compose(self, f: int, var: int, g: int) -> int:
         """Substitute function ``g`` for variable ``var`` in ``f``."""
         return self._compose(f, var, g, self._var2level[var])
@@ -860,11 +850,6 @@ class BDD:
         """True while a reorder session (sift/window pass) is active."""
         return self._reorder_session is not None
 
-    def level_size(self, level: int) -> int:
-        """Allocated non-dead nodes labelled with the variable at ``level``
-        (exact live count at reorder safe points)."""
-        return self._var_counts[self._level2var[level]]
-
     def begin_reorder(self, roots: Sequence[int],
                       interactions: bool = True) -> int:
         """Open a reorder session: collect garbage so that every allocated
@@ -977,9 +962,6 @@ class BDD:
     def clear_cache(self) -> None:
         """Drop the computed table (unique table is kept)."""
         self._cache.clear()
-
-    def cache_size(self) -> int:
-        return self._cache.valid_entries()
 
     def perf_snapshot(self) -> Dict[str, float]:
         """Kernel-health counters as a flat dict (see ``repro.perf``)."""

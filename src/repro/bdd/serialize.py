@@ -71,9 +71,9 @@ def loads(text: str, mgr: Optional[BDD] = None) -> Tuple[BDD, List[int]]:
 
     Every malformed input -- wrong field counts, non-integer tokens,
     dangling child/root references, stray lines -- raises
-    :class:`ValueError` (never ``KeyError``/``IndexError``), so callers
-    persisting dumps on disk (the artifact cache, the process pool) can
-    treat any damage as "corrupt input" with one except clause.
+    :class:`ValueError` (never ``KeyError``/``IndexError``), so a caller
+    reading dumps from disk or from another process can treat any damage
+    as "corrupt input" with one except clause.
     """
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or not lines[0].startswith(".bdd"):

@@ -273,9 +273,11 @@ def count_paths_from_root(mgr: BDD, root: int) -> Dict[int, int]:
 def leaf_edge_stats(mgr: BDD, root: int) -> Tuple[int, int, int]:
     """Count (edges_to_one, edges_to_zero, complement_edges) of the BDD.
 
-    Leaf edges drive the choice between AND/OR-style decomposition (rich in
-    leaf edges) and XOR-style decomposition (rich in complement edges) --
-    this is the paper's "BDD structural scan" (Section IV-C).
+    The first two count Definition 2's leaf edges (edges into the 1 and
+    the 0 terminal) on the phased view; the third counts stored
+    complement edges.  The flow does not call this: the decomposition
+    engine scores every family it finds on the cuts instead
+    (``repro.decomp.engine._try_structural``).
     """
     to_one = to_zero = comp = 0
     if root & 1:

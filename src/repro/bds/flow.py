@@ -24,11 +24,10 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.bdd import BDD, transfer_many
 from repro.bdd.reorder import sift
-from repro.bdd.serialize import dumps as bdd_dumps, loads as bdd_loads
 from repro.bds.dontcare import minimize_with_sdc
 from repro.check import Checker, sanitize_bdd
 from repro.decomp import FTree, extract_sharing, trees_to_network
@@ -67,10 +66,6 @@ class BDSOptions:
     # Section VI item 1 (future work in the paper, implemented here):
     # minimize supernodes against satisfiability don't-cares.
     use_sdc: bool = False
-    # Worker processes for per-supernode decomposition.  After eliminate,
-    # every supernode owns an independent BDD, so reorder+decompose fan out
-    # embarrassingly; 1 = in-process serial (deterministic either way).
-    jobs: int = 1
     # Invariant sanitizer level ("off" / "cheap" / "full"): runs the
     # repro.check audits at the flow's GC safe points (sweep boundaries,
     # network construction, the eliminate loop, decomposition merge) and
@@ -94,11 +89,10 @@ class BDSOptions:
     verify_budget: Optional[float] = None
 
     #: Fields that never change the optimized network or its verdict:
-    #: ``jobs`` only fans the same deterministic work out over processes,
-    #: and ``check_level`` runs (or skips) internal audits.  They are
-    #: excluded from :meth:`cache_key` so e.g. a ``jobs=4`` batch run can
-    #: reuse artifacts produced by a ``jobs=1`` run.
-    NON_SEMANTIC_FIELDS = ("jobs", "check_level")
+    #: ``check_level`` runs (or skips) internal audits.  They are excluded
+    #: from :meth:`cache_key` so e.g. a ``check_level="full"`` run can
+    #: reuse artifacts produced by an unchecked run.
+    NON_SEMANTIC_FIELDS = ("check_level",)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able snapshot (nested :class:`DecompOptions` inline)."""
@@ -222,8 +216,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
         tr.counter_source = counters.snapshot
     work = net.copy()
 
-    with tr.span("flow", circuit=net.name, jobs=opts.jobs,
-                 verify=opts.verify) as root:
+    with tr.span("flow", circuit=net.name, verify=opts.verify) as root:
         with tr.span("flow.sweep"):
             sweep(work, merge_equivalent=opts.sweep_merge_equivalent)
             checker.check_network(work, "network after initial sweep")
@@ -248,18 +241,13 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
 
         with tr.span("flow.decompose"):
             stats = DecompStats()
-            names = sorted(part.refs)
-            if opts.jobs > 1 and len(names) > 1:
-                trees = _decompose_parallel(part, names, opts, stats,
-                                            counters, tr)
-            else:
-                trees = {}
-                for name in names:
-                    moved = transfer_many(part.mgr, [part.refs[name]])
-                    counters.live.append(moved.manager.perf_snapshot)
-                    trees[name] = _decompose_supernode(
-                        moved.manager, moved.refs[0], name, opts, stats, tr)
-                    counters.retire(moved.manager.perf_snapshot)
+            trees = {}
+            for name in sorted(part.refs):
+                moved = transfer_many(part.mgr, [part.refs[name]])
+                counters.live.append(moved.manager.perf_snapshot)
+                trees[name] = _decompose_supernode(
+                    moved.manager, moved.refs[0], name, opts, stats, tr)
+                counters.retire(moved.manager.perf_snapshot)
 
         with tr.span("flow.balance"):
             if opts.balance_trees:
@@ -310,13 +298,11 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
 
 
 def _decompose_supernode(mgr: BDD, root: int, name: str, opts: BDSOptions,
-                         stats: DecompStats, tracer: Tracer,
-                         **attrs: Any) -> FTree:
+                         stats: DecompStats, tracer: Tracer) -> FTree:
     """Reorder, decompose and sanitize one supernode BDD in its private
-    manager; returns the factoring tree over signal names.  The serial
-    loop and the pool worker both run it."""
+    manager; returns the factoring tree over signal names."""
     mgr.tracer = tracer
-    with tracer.span("decompose.supernode", supernode=name, **attrs):
+    with tracer.span("decompose.supernode", supernode=name):
         if opts.autoreorder:
             mgr.enable_autoreorder(opts.autoreorder, opts.autoreorder_method)
         if opts.reorder and not mgr.is_const(root):
@@ -329,44 +315,3 @@ def _decompose_supernode(mgr: BDD, root: int, name: str, opts: BDSOptions,
                          subject="supernode %r manager after decompose" % name)
     return tree.map_vars(mgr.var_name)
 
-
-def _decompose_worker(payload: Tuple[str, str, BDSOptions, bool]):
-    """Process-pool entry point: rebuild one supernode BDD from its
-    serialized form and run :func:`_decompose_supernode` on it.  A forked
-    child cannot share the parent's tracer, so the tree, stats, kernel
-    counters and span tree travel back through the result channel."""
-    name, text, opts, sample = payload
-    mgr, roots = bdd_loads(text)
-    tracer = Tracer(counter_source=mgr.perf_snapshot if sample else None)
-    stats = DecompStats()
-    tree = _decompose_supernode(mgr, roots[0], name, opts, stats, tracer,
-                                worker=True)
-    return (name, tree, stats.as_dict(), mgr.perf_snapshot(),
-            tracer.export_spans())
-
-
-def _decompose_parallel(part: PartitionedNetwork, names: List[str],
-                        opts: BDSOptions, stats: DecompStats,
-                        counters: _Counters,
-                        tracer: Tracer) -> Dict[str, FTree]:
-    """Fan supernodes out over a process pool (opts.jobs workers).
-
-    Supernodes own independent BDDs after eliminate, so each worker gets
-    one serialized BDD and returns one factoring tree; results are merged
-    in sorted-name order, keeping the flow's output deterministic.
-    Worker span trees are grafted under the caller's open span.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    sample = tracer.counter_source is not None
-    payloads = [(name, bdd_dumps(part.mgr, [part.refs[name]]), opts, sample)
-                for name in names]
-    trees = {}
-    with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-        for name, tree, stats_dict, snap, spans in pool.map(
-                _decompose_worker, payloads):
-            trees[name] = tree
-            stats.merge(stats_dict)
-            counters.add(snap)
-            tracer.graft(spans)
-    return trees

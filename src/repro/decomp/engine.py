@@ -69,11 +69,6 @@ class DecompStats:
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
 
-    def merge(self, other: Dict[str, int]) -> None:
-        """Accumulate counts from another stats dict (parallel workers)."""
-        for key, value in other.items():
-            setattr(self, key, getattr(self, key) + value)
-
 
 def decompose(mgr: BDD, root: int, options: Optional[DecompOptions] = None,
               stats: Optional[DecompStats] = None) -> FTree:

@@ -34,8 +34,6 @@ from repro.fuzz.harness import (
 )
 from repro.fuzz.options import (
     MAP_MODES,
-    options_from_dict,
-    options_to_dict,
     sample_options,
 )
 from repro.fuzz.shrink import shrink_network
@@ -49,8 +47,6 @@ __all__ = [
     "NetSpec",
     "load_entries",
     "load_entry",
-    "options_from_dict",
-    "options_to_dict",
     "replay_entry",
     "run_case",
     "run_fuzz",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.bds.flow import BDSOptions
-from repro.fuzz.options import options_from_dict
 from repro.network.blif import parse_blif
 from repro.network.network import Network
 
@@ -94,7 +93,7 @@ def load_entry(path: str) -> CorpusEntry:
     return CorpusEntry(
         path=path,
         network=network,
-        options=options_from_dict(meta.get("options") or {}),
+        options=BDSOptions.from_dict(meta.get("options") or {}),
         map_mode=meta.get("map_mode"),
         kind=meta.get("kind", "mismatch"),
         stage=meta.get("stage", "flow"),

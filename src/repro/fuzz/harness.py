@@ -26,7 +26,7 @@ from repro.bds.flow import BDSOptions, bds_optimize
 from repro.check import CheckError
 from repro.fuzz.corpus import CorpusEntry, save_entry
 from repro.fuzz.generator import sample_spec, spec_from_dict
-from repro.fuzz.options import options_from_dict, options_to_dict, sample_options
+from repro.fuzz.options import sample_options
 from repro.fuzz.shrink import shrink_network
 from repro.network.blif import write_blif
 from repro.network.network import Network
@@ -217,7 +217,7 @@ def _sample_payload(rng: "Any", shrink_checks: int,
     options, map_mode = sample_options(rng)
     # ~1 in 8 cases also cross the artifact-cache path (cold vs warm).
     check_cache = rng.random() < 0.125
-    return (spec.as_dict(), options_to_dict(options), map_mode,
+    return (spec.as_dict(), options.to_dict(), map_mode,
             shrink_checks, shrink_seconds, check_cache)
 
 
@@ -227,7 +227,7 @@ def _fuzz_one(payload: Tuple[Dict[str, Any], Dict[str, Any], Optional[str],
     spec_d, opts_d, map_mode, shrink_checks, shrink_seconds, check_cache = \
         payload
     spec = spec_from_dict(spec_d)
-    options = options_from_dict(opts_d)
+    options = BDSOptions.from_dict(opts_d)
     net = spec.build()
     failure = run_case(net, options, map_mode, check_cache=check_cache)
     if failure is None:

@@ -1,18 +1,18 @@
 """Option-matrix sampling for the differential fuzzer.
 
 The fuzzer's job is to cross the *whole* configuration space of the flow
-against random circuits: parallel decomposition, sanitizer levels,
-reordering on/off, eliminate thresholds, every decomposition family
-switch, and the post-flow technology mapping (area- vs delay-mode cell
-mapping, K-LUT covering).  ``sample_options`` draws one point of that
-matrix; ``options_to_dict`` / ``options_from_dict`` give a stable JSON
-shape so a corpus entry replays with the exact options that failed.
+against random circuits: sanitizer levels, reordering on/off, eliminate
+thresholds, every decomposition family switch, and the post-flow
+technology mapping (area- vs delay-mode cell mapping, K-LUT covering).
+``sample_options`` draws one point of that matrix;
+:meth:`BDSOptions.to_dict` / :meth:`BDSOptions.from_dict` give a stable
+JSON shape so a corpus entry replays with the exact options that failed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.bds.flow import BDSOptions
 from repro.decomp.engine import DecompOptions
@@ -24,9 +24,9 @@ MAP_MODES = (None, "area", "delay", "lut3", "lut4", "lut5")
 def sample_options(rng: random.Random) -> Tuple[BDSOptions, Optional[str]]:
     """One point of the flow's option matrix: ``(BDSOptions, map_mode)``.
 
-    Expensive settings (worker pools, the full sanitizer, SDC
-    minimization) appear with low probability so throughput stays high
-    while every combination still gets coverage over a long run.
+    Expensive settings (the full sanitizer, SDC minimization) appear with
+    low probability so throughput stays high while every combination
+    still gets coverage over a long run.
     """
     decomp = DecompOptions(
         enable_simple=rng.random() < 0.95,
@@ -54,29 +54,9 @@ def sample_options(rng: random.Random) -> Tuple[BDSOptions, Optional[str]]:
         sweep_merge_equivalent=rng.random() < 0.8,
         balance_trees=rng.random() < 0.3,
         use_sdc=rng.random() < 0.1,
-        jobs=2 if rng.random() < 0.08 else 1,
         check_level=rng.choice(["off", "off", "off", "off", "cheap", "full"]),
         verify="off",  # the fuzzer cross-checks differentially itself
     )
     map_mode = rng.choice(MAP_MODES)
     return opts, map_mode
 
-
-def options_to_dict(opts: BDSOptions) -> Dict[str, Any]:
-    """JSON-able snapshot of a :class:`BDSOptions` (nested decomp inline).
-
-    Thin alias for :meth:`BDSOptions.to_dict`, kept so corpus metadata
-    written before the canonical serialization moved onto the dataclass
-    keeps loading through the same entry point.
-    """
-    return opts.to_dict()
-
-
-def options_from_dict(data: Dict[str, Any]) -> BDSOptions:
-    """Rebuild options from :func:`options_to_dict` output.
-
-    Unknown keys are ignored and missing keys take their defaults, so a
-    corpus recorded by an older or newer revision still replays (see
-    :meth:`BDSOptions.from_dict`).
-    """
-    return BDSOptions.from_dict(data)

@@ -66,10 +66,6 @@ PEAK_KEYS = frozenset({"peak_live_nodes", "peak_allocated_nodes"})
 #: Derived keys recomputed after merging rather than summed.
 DERIVED_KEYS = frozenset({"cache_hit_rate", "unique_live_ratio"})
 
-# Backwards-compatible aliases (pre-obs internal names).
-_PEAK_KEYS = PEAK_KEYS
-_DERIVED_KEYS = DERIVED_KEYS
-
 
 def counter_delta(before: Dict[str, float],
                   after: Dict[str, float]) -> Dict[str, float]:
@@ -102,9 +98,9 @@ def merge_snapshots(snapshots: Iterable[Dict[str, float]]) -> Dict[str, float]:
     out: Dict[str, float] = {}
     for snap in snapshots:
         for key, value in snap.items():
-            if key in _DERIVED_KEYS:
+            if key in DERIVED_KEYS:
                 continue
-            if key in _PEAK_KEYS:
+            if key in PEAK_KEYS:
                 out[key] = max(out.get(key, 0), value)
             else:
                 out[key] = out.get(key, 0) + value

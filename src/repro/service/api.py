@@ -372,10 +372,6 @@ class OptimizationService:
         artifact = Artifact(
             network_blif=value["blif"],
             perf=dict(value.get("perf") or {}),
-            decomp_stats=dict(value.get("decomp_stats") or {}),
-            timings=dict(value.get("timings") or {}),
-            supernodes=int(value.get("supernodes", 0)),
-            mapping_count=int(value.get("mapping_count", 0)),
             verify_mode=str(value.get("verify_mode", req.options.verify)),
             verify_unknown_outputs=list(
                 value.get("verify_unknown_outputs") or []))

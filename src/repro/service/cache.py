@@ -3,8 +3,8 @@
 An *artifact* is everything ``bds_optimize`` produced for one (input
 network, options) pair: the optimized network (as canonical BLIF -- the
 storage format round-trips through ``parse_blif``/``write_blif``), the
-aggregated kernel perf counters, the decomposition statistics, and the
-verify verdict.  Artifacts are keyed by
+aggregated kernel perf counters and the verify verdict.  Artifacts are
+keyed by
 
     sha256(canonical BLIF of the input)  x  BDSOptions.cache_key()
 
@@ -80,10 +80,6 @@ class Artifact:
 
     network_blif: str
     perf: Dict[str, float] = field(default_factory=dict)
-    decomp_stats: Dict[str, int] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
-    supernodes: int = 0
-    mapping_count: int = 0
     verify_mode: str = "off"
     verify_unknown_outputs: List[str] = field(default_factory=list)
 
@@ -95,26 +91,21 @@ class Artifact:
             "version": FORMAT_VERSION,
             "network_blif": self.network_blif,
             "perf": self.perf,
-            "decomp_stats": self.decomp_stats,
-            "timings": self.timings,
-            "supernodes": self.supernodes,
-            "mapping_count": self.mapping_count,
             "verify_mode": self.verify_mode,
             "verify_unknown_outputs": list(self.verify_unknown_outputs),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "Artifact":
+        """Read the keys above and ignore the rest, so objects written
+        with extra keys (earlier revisions also stored decomposition
+        stats, timings and counts) still hit."""
         if payload.get("version") != FORMAT_VERSION:
             raise ValueError("unsupported artifact version %r"
                              % payload.get("version"))
         return cls(
             network_blif=payload["network_blif"],
             perf=dict(payload.get("perf") or {}),
-            decomp_stats=dict(payload.get("decomp_stats") or {}),
-            timings=dict(payload.get("timings") or {}),
-            supernodes=int(payload.get("supernodes", 0)),
-            mapping_count=int(payload.get("mapping_count", 0)),
             verify_mode=str(payload.get("verify_mode", "off")),
             verify_unknown_outputs=list(
                 payload.get("verify_unknown_outputs") or []),

@@ -43,7 +43,7 @@ from __future__ import annotations
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 import multiprocessing as mp
@@ -90,19 +90,13 @@ def optimize_job_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     :class:`repro.obs.trace.Tracer` and ships the finished span trees
     back in ``"trace"`` -- the worker runs in a forked process, so spans
     must travel through the result channel, never a shared tracer.
-
-    The flow always runs with ``jobs=1``: a daemonic worker may not fork
-    a decompose pool, ``jobs`` never changes the result (it is one of
-    ``BDSOptions.NON_SEMANTIC_FIELDS``), and the scheduler's
-    ``max_workers`` is the service's parallelism.
     """
     from repro.bds.flow import BDSOptions, bds_optimize
     from repro.network.blif import parse_blif, write_blif
     from repro.obs.trace import Tracer
     from repro.verify import VerifyError
 
-    options = replace(BDSOptions.from_dict(payload.get("options") or {}),
-                      jobs=1)
+    options = BDSOptions.from_dict(payload.get("options") or {})
     net = parse_blif(payload["blif"])
     tracer = Tracer() if payload.get("trace") else None
     try:
@@ -115,10 +109,6 @@ def optimize_job_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         "status": "ok",
         "blif": write_blif(result.network),
         "perf": result.perf,
-        "decomp_stats": result.decomp_stats.as_dict(),
-        "timings": result.timings,
-        "supernodes": result.supernodes,
-        "mapping_count": result.mapping_count,
         "verify_mode": options.verify,
         "verify_unknown_outputs": list(result.verify_unknown_outputs),
     }

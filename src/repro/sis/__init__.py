@@ -13,7 +13,7 @@ rebuilds the algebraic half of Fig. 12 from scratch in the cube domain:
 """
 
 from repro.sis.division import algebraic_divide
-from repro.sis.kernels import all_kernels, kernel_intersections
+from repro.sis.kernels import all_kernels
 from repro.sis.factor import factor_cover, factored_literal_count
 from repro.sis.fx import fast_extract
 from repro.sis.resub import resubstitute_all
@@ -22,7 +22,6 @@ from repro.sis.rugged import script_rugged, SISOptions, SISResult
 __all__ = [
     "algebraic_divide",
     "all_kernels",
-    "kernel_intersections",
     "factor_cover",
     "factored_literal_count",
     "fast_extract",

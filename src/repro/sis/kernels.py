@@ -1,13 +1,12 @@
 """Kernels and co-kernels of a cover (Brayton-McMullen).
 
 A *kernel* is a cube-free quotient of the cover by a cube (its
-*co-kernel*).  Kernels are the source of good algebraic divisors; kernel
-intersections expose logic shared between functions.
+*co-kernel*).  Kernels are the source of good algebraic divisors.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.sis.division import divide_by_cube, largest_common_cube, make_cube_free
 from repro.sop.cover import Cover
@@ -55,19 +54,3 @@ def all_kernels(cover: Cover, include_trivial: bool = True
     rec(base, largest_common_cube(cover), 0)
     return out
 
-
-def kernel_intersections(kernels_by_node: Dict[str, List[Tuple[Cube, Cover]]]
-                         ) -> List[Tuple[Cover, List[str]]]:
-    """Kernels appearing in more than one node (candidate shared divisors).
-
-    Returns (kernel, [node names]) for each multi-node kernel, keyed by the
-    kernel's canonical cube set.
-    """
-    table: Dict[FrozenSet[Cube], Tuple[Cover, Set[str]]] = {}
-    for name, kernels in kernels_by_node.items():
-        for _, kernel in kernels:
-            key = frozenset(kernel)
-            if key not in table:
-                table[key] = (kernel, set())
-            table[key][1].add(name)
-    return [(k, sorted(users)) for k, users in table.values() if len(users) > 1]

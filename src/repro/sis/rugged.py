@@ -40,11 +40,6 @@ class SISOptions:
     resub_rounds: int = 2
     simplify_max_cubes: int = 120
     sweep_merge_equivalent: bool = False  # plain SIS sweep is structural
-    # Extras beyond script.rugged (off by default to keep the benchmarked
-    # baseline faithful): multi-cube kernel extraction (gkx-style) and the
-    # full iterated espresso instead of the single simplify pass.
-    kernel_extraction: bool = False
-    full_espresso: bool = False
 
 
 @dataclass
@@ -73,8 +68,9 @@ def script_rugged(net: Network, options: Optional[SISOptions] = None) -> SISResu
         timings[label] = timings.get(label, 0.0) + time.perf_counter() - t0
         return out
 
-    simplify = (lambda: _simplify_all(work, opts.simplify_max_cubes,
-                                      opts.full_espresso))
+    def simplify() -> None:
+        _simplify_all(work, opts.simplify_max_cubes)
+
     timed("sweep", lambda: sweep(work, merge_equivalent=opts.sweep_merge_equivalent))
     timed("eliminate", lambda: eliminate_literal(work, opts.eliminate_threshold_final))
     timed("simplify", simplify)
@@ -84,10 +80,6 @@ def script_rugged(net: Network, options: Optional[SISOptions] = None) -> SISResu
     timed("simplify", simplify)
     resubs = timed("resub", lambda: resubstitute_all(work, opts.resub_rounds))
     extracted = timed("fx", lambda: fast_extract(work, opts.fx_rounds))
-    if opts.kernel_extraction:
-        from repro.sis.kernel_extract import extract_kernels
-
-        extracted += timed("gkx", lambda: extract_kernels(work))
     resubs += timed("resub", lambda: resubstitute_all(work, opts.resub_rounds))
     timed("sweep", lambda: sweep(work, merge_equivalent=False))
     timed("eliminate", lambda: eliminate_literal(work, opts.eliminate_threshold_final))
@@ -98,16 +90,10 @@ def script_rugged(net: Network, options: Optional[SISOptions] = None) -> SISResu
     return SISResult(work, timings, extracted, resubs)
 
 
-def _simplify_all(net: Network, max_cubes: int,
-                  full_espresso: bool = False) -> None:
+def _simplify_all(net: Network, max_cubes: int) -> None:
     """Per-node two-level minimization (the ``simplify`` command)."""
-    from repro.sop.minimize import espresso_minimize
-
     for node in net.nodes.values():
         if len(node.cover) > max_cubes:
             continue  # espresso-lite would be too slow; SIS also bails
-        if full_espresso:
-            node.cover = espresso_minimize(node.cover)
-        else:
-            node.cover = simplify_cover(node.cover)
+        node.cover = simplify_cover(node.cover)
         node.normalize()

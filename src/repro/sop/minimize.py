@@ -1,9 +1,9 @@
 """Two-level minimization: an espresso-style simplify pass.
 
 The SIS baseline's per-node ``simplify`` needs a cube-domain minimizer (the
-real SIS calls espresso).  We implement the classic EXPAND -> IRREDUNDANT
-loop (one REDUCE-free pass by default, which is what ``simplify`` in
-``script.rugged`` effectively costs) on completely specified functions,
+real SIS calls espresso).  We implement one EXPAND -> IRREDUNDANT pass,
+without espresso's REDUCE iterations (which is what ``simplify`` in
+``script.rugged`` effectively costs), on completely specified functions,
 with an optional don't-care cover.
 """
 
@@ -15,16 +15,13 @@ from repro.sop.cover import (
     ComplementTooLarge,
     Cover,
     complement,
-    cover_cofactor_cube,
     cover_contains_cube,
-    is_tautology,
     literal_count,
     remove_contained,
 )
 from repro.sop.cube import Cube
 
-__all__ = ["expand", "irredundant", "reduce_cubes", "simplify_cover",
-           "espresso_minimize"]
+__all__ = ["expand", "irredundant", "simplify_cover"]
 
 
 def expand(cover: Cover, offset: Cover) -> Cover:
@@ -69,55 +66,6 @@ def irredundant(cover: Cover, dc: Optional[Cover] = None) -> Cover:
         else:
             i += 1
     return out
-
-
-def reduce_cubes(cover: Cover, dc: Optional[Cover] = None,
-                 complement_limit: int = 2000) -> Cover:
-    """REDUCE: shrink each cube to the supercube of its essential part.
-
-    A cube's essential part is the set of its minterms covered by no other
-    cube (nor by the don't-care set); replacing the cube by the smallest
-    cube containing that part keeps the cover's function but unlocks
-    better expansions on the next espresso iteration.
-    """
-    dc = dc or []
-    out = list(cover)
-    for i in range(len(out)):
-        cube = out[i]
-        rest = out[:i] + out[i + 1:] + dc
-        rest_cof = cover_cofactor_cube(rest, cube)
-        if is_tautology(rest_cof):
-            continue  # fully redundant; irredundant's job, not reduce's
-        try:
-            essential = complement(rest_cof, limit=complement_limit)
-        except ComplementTooLarge:
-            continue
-        if not essential:
-            continue
-        supercube = set(essential[0])
-        for other in essential[1:]:
-            supercube &= other
-        out[i] = frozenset(cube | supercube)
-    return out
-
-
-def espresso_minimize(cover: Cover, dc: Optional[Cover] = None,
-                      max_iterations: int = 5) -> Cover:
-    """The full EXPAND -> IRREDUNDANT -> REDUCE loop, iterated to a
-    fixpoint of the literal count (bounded by ``max_iterations``)."""
-    dc = dc or []
-    if not cover:
-        return []
-    if any(not cube for cube in cover):
-        return [frozenset()]
-    best = simplify_cover(cover, dc)
-    for _ in range(max_iterations):
-        reduced = reduce_cubes(best, dc)
-        candidate = simplify_cover(reduced, dc)
-        if literal_count(candidate) >= literal_count(best):
-            break
-        best = candidate
-    return best
 
 
 def simplify_cover(cover: Cover, dc: Optional[Cover] = None) -> Cover:

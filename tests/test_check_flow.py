@@ -43,12 +43,3 @@ def test_invalid_check_level_rejected():
     net = build_circuit("rl_cm85")
     with pytest.raises(ValueError):
         bds_optimize(net, BDSOptions(check_level="paranoid"))
-
-
-def test_full_check_parallel_workers():
-    """The per-supernode sanitizer also runs inside pool workers."""
-    net = build_circuit("rl_cm85")
-    res = bds_optimize(net, BDSOptions(check_level="full", jobs=2))
-    assert res.perf["checks_run"] > 0
-    assert res.perf["check_violations"] == 0
-    assert check_equivalence(net, res.network).equivalent

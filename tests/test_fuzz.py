@@ -18,8 +18,6 @@ from repro.circuits.randlogic import random_logic
 from repro.fuzz import (
     load_entries,
     load_entry,
-    options_from_dict,
-    options_to_dict,
     replay_entry,
     run_case,
     run_fuzz,
@@ -65,8 +63,8 @@ class TestGeneratorAndOptions:
         rng = random.Random(13)
         for _ in range(20):
             options, _mode = sample_options(rng)
-            rebuilt = options_from_dict(options_to_dict(options))
-            assert options_to_dict(rebuilt) == options_to_dict(options)
+            rebuilt = BDSOptions.from_dict(options.to_dict())
+            assert rebuilt.to_dict() == options.to_dict()
             assert rebuilt.decomp.enable_mux == options.decomp.enable_mux
 
 
@@ -157,7 +155,7 @@ class TestCorpusIO:
 
         net = build_circuit("add4")
         meta = {"kind": "mismatch", "stage": "flow", "detail": "planted",
-                "options": options_to_dict(BDSOptions(use_sdc=True)),
+                "options": BDSOptions(use_sdc=True).to_dict(),
                 "map_mode": "lut4", "seed": 5}
         path = save_entry(str(tmp_path), write_blif(net), meta)
         again = save_entry(str(tmp_path), write_blif(net), meta)

@@ -1,66 +1,10 @@
-"""Tests for kernel-intersection extraction and static timing analysis."""
-
-import random
+"""Tests for static timing analysis of mapped networks."""
 
 import pytest
 
 from repro.circuits import ripple_adder
 from repro.mapping import map_network
 from repro.mapping.timing import analyze_timing, format_timing
-from repro.network import Network
-from repro.sis.kernel_extract import extract_kernels
-from repro.sop.cube import lit
-from repro.verify import check_equivalence
-
-
-def C(*pairs):
-    return frozenset(lit(v, p) for v, p in pairs)
-
-
-class TestKernelExtract:
-    def _shared_kernel_network(self):
-        # Both outputs contain the kernel (c + d): y1 = a(c+d), y2 = b(c+d)+e.
-        net = Network("kx")
-        for n in "abcde":
-            net.add_input(n)
-        net.add_output("y1")
-        net.add_output("y2")
-        net.add_node("y1", ["a", "c", "d"],
-                     [C((0, True), (1, True)), C((0, True), (2, True))])
-        net.add_node("y2", ["b", "c", "d", "e"],
-                     [C((0, True), (1, True)), C((0, True), (2, True)),
-                      C((3, True))])
-        return net
-
-    def test_extracts_shared_kernel(self):
-        net = self._shared_kernel_network()
-        ref = net.copy()
-        created = extract_kernels(net, min_saving=0)
-        assert created >= 1
-        assert check_equivalence(ref, net).equivalent
-        # Some node computes c + d.
-        found = False
-        for node in net.nodes.values():
-            if sorted(node.fanins) == ["c", "d"] and len(node.cover) == 2:
-                found = True
-        assert found
-
-    def test_no_shared_kernel_no_change(self):
-        net = Network("plain")
-        for n in "ab":
-            net.add_input(n)
-        net.add_output("y")
-        net.add_and("y", ["a", "b"])
-        assert extract_kernels(net) == 0
-
-    def test_random_preserves_function(self):
-        rng = random.Random(61)
-        for _ in range(4):
-            net = _random_sop_network(rng)
-            ref = net.copy()
-            extract_kernels(net, min_saving=0)
-            net.check()
-            assert check_equivalence(ref, net).equivalent
 
 
 class TestTiming:
@@ -99,28 +43,3 @@ class TestTiming:
         assert "worst delay" in text
         assert "critical path" in text
 
-
-def _random_sop_network(rng, n_inputs=5, n_nodes=6):
-    net = Network("rand")
-    signals = [net.add_input("i%d" % i) for i in range(n_inputs)]
-    for j in range(n_nodes):
-        arity = rng.randint(2, min(4, len(signals)))
-        fanins = rng.sample(signals, arity)
-        cover = set()
-        for _ in range(rng.randint(2, 4)):
-            cube = []
-            for p in range(arity):
-                r = rng.random()
-                if r < 0.5:
-                    cube.append(lit(p, r < 0.35))
-            if cube:
-                cover.add(frozenset(cube))
-        if not cover:
-            cover = {frozenset({lit(0)})}
-        net.add_node("g%d" % j, fanins, list(cover))
-        net.nodes["g%d" % j].normalize()
-        signals.append("g%d" % j)
-    net.add_output("g%d" % (n_nodes - 1))
-    net.add_output("g%d" % (n_nodes - 2))
-    net.remove_dangling()
-    return net

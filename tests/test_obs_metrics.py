@@ -150,20 +150,3 @@ class TestForkSafety:
         assert after_inc == inherited + 100   # child increments applied...
         # ...but never merged back: the parent registry is unchanged.
         assert reg.counter_value("fork_probe_total") == base + 1
-
-    def test_decompose_workers_never_export_through_the_registry(self):
-        # jobs=2 forks decompose workers that import the kernel (and
-        # transitively repro.obs.metrics).  Their kernel counters must
-        # arrive via the result channel (result.perf), leaving the
-        # parent registry exactly as it was -- double-exporting would
-        # corrupt every service-level jobs_total/histogram reading.
-        from repro.bds.flow import BDSOptions, bds_optimize
-        from repro.circuits import build_circuit
-
-        reg = get_registry()
-        before = json.dumps(reg.as_dict(), sort_keys=True)
-        result = bds_optimize(build_circuit("add8"), BDSOptions(jobs=2))
-        assert result.perf["ite_calls"] > 0   # counters did travel
-        after = reg.as_dict()
-        assert json.dumps(after, sort_keys=True) == before
-        assert "ite_calls" not in after["counters"]

@@ -91,14 +91,16 @@ class TestBatchRouting:
         assert parse_blif(resp.blif).stats()["outputs"] == 5
 
     def test_jobs_option_runs_in_the_worker(self):
-        # Scheduler workers are daemonic and may not fork a decompose
-        # pool; jobs is non-semantic, so the worker runs the flow with
-        # jobs=1 instead of failing the request.
+        # Clients written for revisions that had a ``jobs`` option may
+        # still send it; the options snapshot drops the unknown key.
         net = build_circuit("add8")
-        resp = OptimizationService().optimize_one(ServiceRequest(
-            blif=write_blif(net), options=BDSOptions(jobs=2)))
-        assert resp.ok, resp.error
-        assert resp.blif == write_blif(bds_optimize(net).network)
+        line = json.dumps({"blif": write_blif(net), "id": "j",
+                           "options": {"jobs": 2}})
+        out = io.StringIO()
+        serve_stdio(OptimizationService(), io.StringIO(line + "\n"), out)
+        resp = json.loads(out.getvalue())
+        assert resp["status"] == "ok", resp.get("error")
+        assert resp["blif"] == write_blif(bds_optimize(net).network)
 
 
 class TestServeLoop:

@@ -1,6 +1,7 @@
 """Tests for the content-addressed artifact cache and the options key
 scheme (repro.service.cache + BDSOptions.cache_key)."""
 
+import hashlib
 import json
 import os
 import random
@@ -65,7 +66,9 @@ class TestCacheKey:
 
     def test_non_semantic_fields_do_not_change_the_key(self):
         reference = BDSOptions().cache_key()
-        assert BDSOptions(jobs=4).cache_key() == reference
+        # Snapshots from revisions that had a ``jobs`` option still load,
+        # and key like the defaults.
+        assert BDSOptions.from_dict({"jobs": 4}).cache_key() == reference
         assert BDSOptions(check_level="full").cache_key() == reference
 
     def test_roundtrip_through_dict(self):
@@ -91,12 +94,41 @@ class TestArtifactStore:
         assert cache.lookup(key) is None and cache.misses == 1
         result = bds_optimize(net, opts)
         cache.store(key, Artifact(network_blif=write_blif(result.network),
-                                  perf=result.perf,
-                                  supernodes=result.supernodes))
+                                  perf=result.perf))
         artifact = cache.lookup(key)
         assert artifact is not None and cache.hits == 1
         assert artifact.network_blif == write_blif(result.network)
-        assert artifact.supernodes == result.supernodes
+        assert artifact.perf == result.perf
+
+    def test_object_with_extra_payload_keys_still_hits(self, tmp_path):
+        # Objects written before the decomposition stats, timings and
+        # counts were dropped from the payload carry four more keys.
+        cache = ArtifactCache(str(tmp_path))
+        result = bds_optimize(build_circuit("add4"), BDSOptions())
+        blif = write_blif(result.network)
+        payload = {
+            "version": 1,
+            "network_blif": blif,
+            "perf": result.perf,
+            "decomp_stats": result.decomp_stats.as_dict(),
+            "timings": result.timings,
+            "supernodes": result.supernodes,
+            "mapping_count": result.mapping_count,
+            "verify_mode": "off",
+            "verify_unknown_outputs": [],
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        key = "ef" * 32
+        os.makedirs(os.path.join(str(tmp_path), "objects", key[:2]))
+        with open(os.path.join(str(tmp_path), "objects", key[:2],
+                               key + ".json"), "w") as fh:
+            json.dump({"sha256": hashlib.sha256(
+                text.encode("utf-8")).hexdigest(), "payload": payload}, fh)
+        artifact = cache.lookup(key)
+        assert artifact is not None
+        assert cache.hits == 1 and cache.corrupt == 0
+        assert artifact.network_blif == blif
+        assert artifact.perf == result.perf
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_roundtrip_structurally_equal_and_equivalent(self, tmp_path, seed):
@@ -132,8 +164,7 @@ class TestArtifactStore:
         key = "ab" * 32
         result = bds_optimize(build_circuit("add4"), BDSOptions())
         path = cache.store(key, Artifact(
-            network_blif=write_blif(result.network), perf=result.perf,
-            decomp_stats=result.decomp_stats.as_dict()))
+            network_blif=write_blif(result.network), perf=result.perf))
         raw = bytearray(open(path, "rb").read())
         # Flip a bit inside the payload body (past the checksum header).
         pos = rng.randrange(len(raw) // 2, len(raw) - 2)
@@ -197,9 +228,9 @@ class TestFlowShortCircuit:
 
     def test_non_semantic_options_do_share(self, tmp_path):
         service = self._service(tmp_path)
-        service.optimize_one(self._request(BDSOptions(jobs=1)))
+        service.optimize_one(self._request(BDSOptions()))
         warm = service.optimize_one(
-            self._request(BDSOptions(jobs=2, check_level="cheap")))
+            self._request(BDSOptions(check_level="cheap")))
         assert warm.cached
         assert warm.perf["artifact_cache_hits"] == 1
 

@@ -12,7 +12,6 @@ from repro.sis import (
     factor_cover,
     factored_literal_count,
     fast_extract,
-    kernel_intersections,
     resubstitute_all,
     script_rugged,
 )
@@ -105,14 +104,6 @@ class TestKernels:
                  for _ in range(5)]
             for _, k in all_kernels(f):
                 assert cube_free(k), k
-
-    def test_intersections(self):
-        shared = [C((0, True)), C((1, True))]
-        f1 = [frozenset(c | C((2, True))) for c in shared]
-        f2 = [frozenset(c | C((3, True))) for c in shared] + [C((4, True))]
-        inter = kernel_intersections({"f1": all_kernels(f1),
-                                      "f2": all_kernels(f2)})
-        assert any(set(users) == {"f1", "f2"} for _, users in inter)
 
 
 class TestFactor:
@@ -259,22 +250,3 @@ def _random_network(rng, n_inputs=6, n_nodes=12):
     net.remove_dangling()
     return net
 
-
-class TestRuggedExtras:
-    def test_kernel_extraction_option(self):
-        rng = random.Random(71)
-        net = _random_network(rng)
-        ref = net.copy()
-        from repro.sis.rugged import SISOptions
-        result = script_rugged(net, SISOptions(kernel_extraction=True))
-        assert check_equivalence(ref, result.network).equivalent
-
-    def test_full_espresso_option(self):
-        rng = random.Random(73)
-        net = _random_network(rng)
-        ref = net.copy()
-        from repro.sis.rugged import SISOptions
-        base = script_rugged(net, SISOptions())
-        full = script_rugged(net, SISOptions(full_espresso=True))
-        assert check_equivalence(ref, full.network).equivalent
-        assert full.network.literal_count() <= base.network.literal_count() + 2
