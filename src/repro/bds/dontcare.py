@@ -35,30 +35,6 @@ def minimize_with_sdc(part: PartitionedNetwork, global_cap: int = 3000,
     for name in part.inputs:
         global_of[name] = mgr.var_ref(part.sig_var[name])
 
-    def build_global(name: str) -> Optional[int]:
-        if name in global_of:
-            return global_of[name]
-        ref = part.refs[name]
-        subst: Dict[int, int] = {}
-        ok = True
-        for v in sorted(support(mgr, ref)):
-            sig = mgr.var_name(v)
-            if sig in part.inputs:
-                continue
-            g = build_global(sig)
-            if g is None:
-                ok = False
-                break
-            subst[v] = g
-        if not ok:
-            global_of[name] = None
-            return None
-        g = mgr.vector_compose(ref, subst)
-        if node_count(mgr, g) > global_cap:
-            g = None
-        global_of[name] = g
-        return g
-
     all_pi_vars = {part.sig_var[i] for i in part.inputs}
     changed = 0
     for name in sorted(part.refs):
@@ -71,7 +47,7 @@ def minimize_with_sdc(part: PartitionedNetwork, global_cap: int = 3000,
         terms = []
         feasible = True
         for sig in sorted(fanin_sigs):
-            g = build_global(sig)
+            g = _build_global(part, sig, global_of, global_cap)
             if g is None:
                 feasible = False
                 break
@@ -105,3 +81,34 @@ def minimize_with_sdc(part: PartitionedNetwork, global_cap: int = 3000,
             # globals remain valid images.
             changed += 1
     return changed
+
+
+def _build_global(part: PartitionedNetwork, name: str,
+                  global_of: Dict[str, Optional[int]],
+                  global_cap: int) -> Optional[int]:
+    """Global function of signal ``name`` over the primary inputs, or
+    None past ``global_cap`` nodes.
+
+    A plain function, not a closure: a recursive closure reaches itself
+    through its cell, and that cycle would keep the manager alive until
+    the cyclic GC runs.
+    """
+    if name in global_of:
+        return global_of[name]
+    mgr = part.mgr
+    ref = part.refs[name]
+    subst: Dict[int, int] = {}
+    for v in sorted(support(mgr, ref)):
+        sig = mgr.var_name(v)
+        if sig in part.inputs:
+            continue
+        g = _build_global(part, sig, global_of, global_cap)
+        if g is None:
+            global_of[name] = None
+            return None
+        subst[v] = g
+    g = mgr.vector_compose(ref, subst)
+    if node_count(mgr, g) > global_cap:
+        g = None
+    global_of[name] = g
+    return g

@@ -76,11 +76,19 @@ def _cmd_optimize(args) -> int:
             # Through the service: a cache hit skips the flow; a miss runs
             # it in a worker process and stores the artifact.
             service = OptimizationService(cache=ArtifactCache(args.cache_dir))
-            reply = service.optimize_one(ServiceRequest(
-                blif=source, options=options, name=args.input,
-                trace=tracer is not None))
-            if tracer is not None and reply.trace:
-                tracer.graft(reply.trace)
+            request = ServiceRequest(blif=source, options=options,
+                                     name=args.input,
+                                     trace=tracer is not None)
+            if tracer is None:
+                reply = service.optimize_one(request)
+            else:
+                # Grafted inside the request's span, the worker's spans
+                # start where the request started, not at reply time.
+                with tracer.span("service.request") as span:
+                    reply = service.optimize_one(request)
+                    span.attrs["cached"] = reply.cached
+                    if reply.trace:
+                        tracer.graft(reply.trace)
             if not reply.ok:
                 print("optimization %s: %s" % (reply.status, reply.error),
                       file=sys.stderr)

@@ -118,54 +118,49 @@ def rebuild_above_cut(mgr: BDD, root: int, level: int,
     constant) as well as the h-functions of Theorems 5 and 7 (specific
     vertices to specific constants).
     """
-    memo: Dict[int, int] = {}
-
-    def rec(r: int) -> int:
-        if r in memo:
-            return memo[r]
-        if r in substitution:
-            out = substitution[r]
-        elif mgr.is_const(r):
-            out = r
-        elif mgr.level(r) >= level:
-            if free_value is None:
-                raise ValueError("crossing edge to %d has no substitution" % r)
-            out = free_value
-        else:
-            lo, hi = mgr.children(r)
-            out = mgr.mk(mgr.var_of(r), rec(lo), rec(hi))
-        memo[r] = out
-        return out
-
-    return rec(root)
+    return _rebuild(mgr, root, substitution, level, free_value, {})
 
 
 def substitute_vertices(mgr: BDD, root: int, substitution: Dict[int, int]) -> int:
     """Replace specific phased vertices by functions throughout the BDD.
 
-    Unlike :func:`rebuild_above_cut` this walks the whole DAG; it is the
-    node-to-constant substitution used to derive candidate ``G`` functions
-    from generalized x-dominators (Definition 10) and the 'redirect node v
-    to terminal' constructions of Theorems 5 and 7 when the kept vertices
-    do not align with a single horizontal cut.
+    Unlike :func:`rebuild_above_cut` this walks the whole DAG: it is the
+    same rebuild with no cut level.  It is the node-to-constant
+    substitution used to derive candidate ``G`` functions from
+    generalized x-dominators (Definition 10) and the 'redirect node v to
+    terminal' constructions of Theorems 5 and 7 when the kept vertices do
+    not align with a single horizontal cut.
 
     Substitution values must be constants or functions over variables
     strictly below every substituted vertex's parents for the rebuild to
     stay ordered; constants are always safe.
     """
-    memo: Dict[int, int] = {}
+    return _rebuild(mgr, root, substitution, None, None, {})
 
-    def rec(r: int) -> int:
-        if r in memo:
-            return memo[r]
-        if r in substitution:
-            out = substitution[r]
-        elif mgr.is_const(r):
-            out = r
-        else:
-            lo, hi = mgr.children(r)
-            out = mgr.mk(mgr.var_of(r), rec(lo), rec(hi))
-        memo[r] = out
-        return out
 
-    return rec(root)
+def _rebuild(mgr: BDD, r: int, substitution: Dict[int, int],
+             level: Optional[int], free_value: Optional[int],
+             memo: Dict[int, int]) -> int:
+    """The rebuild behind both: ``level`` None walks the whole DAG.
+
+    A plain function, not a closure: a recursive closure reaches itself
+    through its cell, and that cycle would keep ``mgr`` alive until the
+    cyclic GC runs.
+    """
+    if r in memo:
+        return memo[r]
+    if r in substitution:
+        out = substitution[r]
+    elif mgr.is_const(r):
+        out = r
+    elif level is not None and mgr.level(r) >= level:
+        if free_value is None:
+            raise ValueError("crossing edge to %d has no substitution" % r)
+        out = free_value
+    else:
+        lo, hi = mgr.children(r)
+        out = mgr.mk(mgr.var_of(r),
+                     _rebuild(mgr, lo, substitution, level, free_value, memo),
+                     _rebuild(mgr, hi, substitution, level, free_value, memo))
+    memo[r] = out
+    return out

@@ -3,7 +3,9 @@
 Each cell carries an area (lambda^2-flavoured, so totals land in the same
 magnitude as the paper's tables), a pin-to-output delay, a *pattern* over
 the NAND2/INV subject basis, and a cube cover used to rebuild the mapped
-netlist for verification.
+netlist for verification.  The default library is one genlib text,
+:data:`MCNC_GENLIB`, read by the same parser as any user library
+(:func:`repro.mapping.genlib_parse.parse_genlib`).
 
 Patterns are nested tuples: ``("nand", p, q)``, ``("inv", p)`` or a leaf
 placeholder string.  A placeholder appearing twice (XOR/XNOR/MUX cells)
@@ -15,9 +17,30 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.sop.cube import lit
-
 Pattern = object  # nested tuples / placeholder strings
+
+#: The default cells in genlib form: areas in mcnc.genlib units, each
+#: cell's delay as its pins' block delay.
+MCNC_GENLIB = """
+GATE inv1   1  O = !a;                PIN * INV 1 999 1.0 0 1.0 0
+GATE nand2  2  O = !(a*b);            PIN * INV 1 999 1.2 0 1.2 0
+GATE nand3  3  O = !(a*b*c);          PIN * INV 1 999 1.4 0 1.4 0
+GATE nand4  4  O = !(a*b*c*d);        PIN * INV 1 999 1.6 0 1.6 0
+GATE and2   3  O = a*b;               PIN * NONINV 1 999 1.5 0 1.5 0
+GATE nor2   2  O = !(a+b);            PIN * INV 1 999 1.4 0 1.4 0
+GATE nor3   3  O = !(a+b+c);          PIN * INV 1 999 1.6 0 1.6 0
+GATE or2    3  O = a+b;               PIN * NONINV 1 999 1.7 0 1.7 0
+GATE aoi21  3  O = !(a*b+c);          PIN * INV 1 999 1.6 0 1.6 0
+GATE oai21  3  O = !((a+b)*c);        PIN * INV 1 999 1.6 0 1.6 0
+GATE aoi22  4  O = !(a*b+c*d);        PIN * INV 1 999 1.8 0 1.8 0
+GATE oai22  4  O = !((a+b)*(c+d));    PIN * INV 1 999 1.8 0 1.8 0
+GATE xor2   5  O = a*!b+!a*b;         PIN * UNKNOWN 1 999 2.0 0 2.0 0
+GATE xnor2  5  O = a*b+!a*!b;         PIN * UNKNOWN 1 999 2.0 0 2.0 0
+GATE mux21  5  O = s*a+!s*b;          PIN * UNKNOWN 1 999 2.0 0 2.0 0
+"""
+
+#: lambda^2 per genlib area unit, putting totals in table range.
+LAMBDA2_PER_UNIT = 464.0
 
 
 class Cell:
@@ -57,74 +80,15 @@ class Library:
         raise KeyError(name)
 
 
-def _and_cover(n):
-    return [frozenset(lit(i) for i in range(n))]
-
-
-def _or_cover(n):
-    return [frozenset({lit(i)}) for i in range(n)]
-
-
-def _inv_cover(cover):
-    """Complement of a small cover via BDD-free De Morgan on these shapes is
-    error-prone; use the sop complement directly."""
-    from repro.sop.cover import complement
-    return complement(cover)
-
-
 def mcnc_library() -> Library:
-    """The default library (areas/delays in mcnc.genlib magnitudes)."""
-    A = 464.0  # lambda^2 per area unit, putting totals in table range
-    cells: List[Cell] = []
+    """The default library: :data:`MCNC_GENLIB` with areas in lambda^2."""
+    # Deferred: the parser builds this module's Cell and Library.
+    from repro.mapping.genlib_parse import parse_genlib
 
-    def cell(name, units, delay, pattern, inputs, cover):
-        cells.append(Cell(name, units * A, delay, pattern, inputs, cover))
-
-    inv = lambda p: ("inv", p)
-    nand = lambda p, q: ("nand", p, q)
-
-    cell("inv1", 1, 1.0, inv("a"), ["a"], [frozenset({lit(0, False)})])
-    cell("nand2", 2, 1.2, nand("a", "b"), ["a", "b"],
-         _inv_cover(_and_cover(2)))
-    cell("nand3", 3, 1.4,
-         nand(inv(nand("a", "b")), "c"), ["a", "b", "c"],
-         _inv_cover(_and_cover(3)))
-    cell("nand4", 4, 1.6,
-         nand(inv(nand(inv(nand("a", "b")), "c")), "d"), ["a", "b", "c", "d"],
-         _inv_cover(_and_cover(4)))
-    cell("and2", 3, 1.5, inv(nand("a", "b")), ["a", "b"], _and_cover(2))
-    cell("nor2", 2, 1.4, inv(nand(inv("a"), inv("b"))), ["a", "b"],
-         _inv_cover(_or_cover(2)))
-    cell("nor3", 3, 1.6,
-         inv(nand(inv(nand(inv("a"), inv("b"))), inv("c"))), ["a", "b", "c"],
-         _inv_cover(_or_cover(3)))
-    cell("or2", 3, 1.7, nand(inv("a"), inv("b")), ["a", "b"], _or_cover(2))
-    cell("aoi21", 3, 1.6, inv(nand(nand("a", "b"), inv("c"))),
-         ["a", "b", "c"],
-         _inv_cover([frozenset({lit(0), lit(1)}), frozenset({lit(2)})]))
-    cell("oai21", 3, 1.6, nand(nand(inv("a"), inv("b")), "c"),
-         ["a", "b", "c"],
-         _inv_cover([frozenset({lit(0), lit(2)}), frozenset({lit(1), lit(2)})]))
-    cell("aoi22", 4, 1.8, inv(nand(nand("a", "b"), nand("c", "d"))),
-         ["a", "b", "c", "d"],
-         _inv_cover([frozenset({lit(0), lit(1)}), frozenset({lit(2), lit(3)})]))
-    cell("oai22", 4, 1.8, nand(nand(inv("a"), inv("b")), nand(inv("c"), inv("d"))),
-         ["a", "b", "c", "d"],
-         _inv_cover([frozenset({lit(0), lit(2)}), frozenset({lit(0), lit(3)}),
-                     frozenset({lit(1), lit(2)}), frozenset({lit(1), lit(3)})]))
-    # XOR lowered from SOP is nand(nand(a, inv b), nand(inv a, b)).
-    cell("xor2", 5, 2.0,
-         nand(nand("a", inv("b")), nand(inv("a"), "b")), ["a", "b"],
-         [frozenset({lit(0), lit(1, False)}), frozenset({lit(0, False), lit(1)})])
-    # XNOR lowered from SOP is nand(nand(a, b), nand(inv a, inv b)).
-    cell("xnor2", 5, 2.0,
-         nand(nand("a", "b"), nand(inv("a"), inv("b"))), ["a", "b"],
-         [frozenset({lit(0), lit(1)}), frozenset({lit(0, False), lit(1, False)})])
-    # MUX lowered from SOP {s a, ~s b} is nand(nand(s, a), nand(inv s, b)).
-    cell("mux21", 5, 2.0,
-         nand(nand("s", "a"), nand(inv("s"), "b")), ["s", "a", "b"],
-         [frozenset({lit(0), lit(1)}), frozenset({lit(0, False), lit(2)})])
-    return Library(cells)
+    library = parse_genlib(MCNC_GENLIB)
+    for cell in library:
+        cell.area *= LAMBDA2_PER_UNIT
+    return library
 
 
 def pattern_placeholders(pattern: Pattern) -> List[str]:

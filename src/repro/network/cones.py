@@ -151,42 +151,48 @@ def global_bdd(mgr: BDD, net: Network, output: str, var_of: Dict[str, int],
     replay the partial work.
     """
     budget_start = mgr.perf.nodes_allocated
-
-    def exhausted() -> bool:
-        if mgr.perf.nodes_allocated - budget_start >= size_cap:
-            return True
-        return deadline is not None and time.monotonic() > deadline
-
-    def build(name: str) -> int:
-        if name in var_of and name not in net.nodes:
-            return mgr.var_ref(var_of[name])
-        ref = cache.get(name)
-        if ref is not None:
-            return ref
-        node = net.nodes[name]
-        fanin_refs = [build(f) for f in node.fanins]
-        acc = ZERO
-        for cube in node.cover:
-            term = ONE
-            for l in cube:
-                term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
-                if term == ZERO:
-                    break
-            acc = mgr.or_(acc, term)
-        cache[name] = acc
-        return acc
-
     try:
         while True:
             mgr.set_alloc_limit(min(budget_start + size_cap,
                                     mgr.perf.nodes_allocated + _BUDGET_CHUNK))
             try:
-                return build(output)
+                return _build_global(mgr, net, output, var_of, cache)
             except BddBudgetExceeded:
-                if exhausted():
+                if mgr.perf.nodes_allocated - budget_start >= size_cap:
+                    return None
+                if deadline is not None and time.monotonic() > deadline:
                     return None
     finally:
         mgr.set_alloc_limit(None)
+
+
+def _build_global(mgr: BDD, net: Network, name: str, var_of: Dict[str, int],
+                  cache: Dict[str, Optional[int]]) -> int:
+    """The recursion under :func:`global_bdd`, which bounds its work
+    through the manager's allocation limit.
+
+    A plain function, not a closure: a recursive closure reaches itself
+    through its cell, and that cycle would keep ``mgr`` alive until the
+    cyclic GC runs.
+    """
+    if name in var_of and name not in net.nodes:
+        return mgr.var_ref(var_of[name])
+    ref = cache.get(name)
+    if ref is not None:
+        return ref
+    node = net.nodes[name]
+    fanin_refs = [_build_global(mgr, net, f, var_of, cache)
+                  for f in node.fanins]
+    acc = ZERO
+    for cube in node.cover:
+        term = ONE
+        for l in cube:
+            term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
+            if term == ZERO:
+                break
+        acc = mgr.or_(acc, term)
+    cache[name] = acc
+    return acc
 
 
 def collapse_to_two_level(net: Network, max_cubes: int = 100000

@@ -21,11 +21,16 @@ that form the structural passes reach their fixed point in a few passes.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.bdd import ZERO
+from repro.bdd.traverse import node_count
 from repro.network.network import Network, Node
 from repro.sop.cover import cover_cofactor
 from repro.sop.cube import lit
+
+if TYPE_CHECKING:
+    from repro.bdd import BDD
 
 #: Guard against a future rule conflict; the rules below converge well
 #: before it.
@@ -266,7 +271,6 @@ def _merge_functional(net: Network, out_pos: Dict[str, int], seed: int,
                       bdd_cap: int) -> bool:
     """Merge nodes with identical global functions (signature + BDD proof)."""
     from repro.bdd import BDD
-    from repro.bdd.traverse import node_count
 
     rng = random.Random(seed)
     width = 256
@@ -317,66 +321,69 @@ def _merge_functional(net: Network, out_pos: Dict[str, int], seed: int,
     # proving equivalences (the sweep is an optimization, not a must).
     allocation_budget = 40 * bdd_cap
 
-    def build(name: str) -> Optional[int]:
-        if name in global_bdd:
-            return global_bdd[name]
-        if mgr.num_nodes_allocated > allocation_budget:
-            return None
-        node = net.nodes[name]
-        fanin_refs = []
-        for f in node.fanins:
-            r = build(f)
-            if r is None:
-                global_bdd[name] = None
-                return None
-            fanin_refs.append(r)
-        from repro.bdd.manager import ZERO
-        acc = ZERO
-        for cube in node.cover:
-            term = 0  # ONE
-            for l in cube:
-                litref = fanin_refs[l >> 1] ^ (l & 1)
-                term = mgr.and_(term, litref)
-                if mgr.num_nodes_allocated > allocation_budget:
-                    global_bdd[name] = None
-                    return None
-            acc = mgr.or_(acc, term)
-            if mgr.num_nodes_allocated > allocation_budget:
-                global_bdd[name] = None
-                return None
-        if node_count(mgr, acc) > bdd_cap:
-            global_bdd[name] = None
-            return None
-        global_bdd[name] = acc
-        return acc
-
     changed = False
-    try:
-        for group in candidates:
-            # Safe GC point between groups: every ref still needed for
-            # later cone building lives in global_bdd.
-            mgr.maybe_collect([r for r in global_bdd.values()
-                               if r is not None])
-            keep_by_ref: Dict[int, str] = {}
-            for name in group:
-                ref = build(name)
-                if ref is None:
-                    continue
-                keep = keep_by_ref.get(ref)
-                if keep is None:
-                    keep_by_ref[ref] = name
-                elif name in net.nodes:
-                    node = net.nodes[name]
-                    if (_is_output_buffer(node, out_pos)
-                            and node.fanins[0] == keep):
-                        continue  # already a buffer of the keeper
-                    _redirect(net, out_pos, name, keep)
-                    changed = True
-    finally:
-        # ``build`` reaches itself through its closure cell; breaking that
-        # cycle frees the manager and its global BDDs on return instead
-        # of at the next cyclic collection.
-        del build
+    for group in candidates:
+        # Safe GC point between groups: every ref still needed for
+        # later cone building lives in global_bdd.
+        mgr.maybe_collect([r for r in global_bdd.values() if r is not None])
+        keep_by_ref: Dict[int, str] = {}
+        for name in group:
+            ref = _bounded_global(mgr, net, name, global_bdd,
+                                  allocation_budget, bdd_cap)
+            if ref is None:
+                continue
+            keep = keep_by_ref.get(ref)
+            if keep is None:
+                keep_by_ref[ref] = name
+            elif name in net.nodes:
+                node = net.nodes[name]
+                if (_is_output_buffer(node, out_pos)
+                        and node.fanins[0] == keep):
+                    continue  # already a buffer of the keeper
+                _redirect(net, out_pos, name, keep)
+                changed = True
     if changed:
         net.remove_dangling()
     return changed
+
+
+def _bounded_global(mgr: BDD, net: Network, name: str,
+                    global_bdd: Dict[str, Optional[int]],
+                    allocation_budget: int, bdd_cap: int) -> Optional[int]:
+    """Global BDD of ``name`` in ``mgr``, or None past either bound.
+
+    A plain function, not a closure: a recursive closure reaches itself
+    through its cell, and that cycle would keep ``mgr`` and its global
+    BDDs alive past the sweep, until the cyclic GC runs.
+    """
+    if name in global_bdd:
+        return global_bdd[name]
+    if mgr.num_nodes_allocated > allocation_budget:
+        return None
+    node = net.nodes[name]
+    fanin_refs = []
+    for f in node.fanins:
+        r = _bounded_global(mgr, net, f, global_bdd, allocation_budget,
+                            bdd_cap)
+        if r is None:
+            global_bdd[name] = None
+            return None
+        fanin_refs.append(r)
+    acc = ZERO
+    for cube in node.cover:
+        term = 0  # ONE
+        for l in cube:
+            litref = fanin_refs[l >> 1] ^ (l & 1)
+            term = mgr.and_(term, litref)
+            if mgr.num_nodes_allocated > allocation_budget:
+                global_bdd[name] = None
+                return None
+        acc = mgr.or_(acc, term)
+        if mgr.num_nodes_allocated > allocation_budget:
+            global_bdd[name] = None
+            return None
+    if node_count(mgr, acc) > bdd_cap:
+        global_bdd[name] = None
+        return None
+    global_bdd[name] = acc
+    return acc

@@ -19,15 +19,18 @@ one pipelined request stream (a batch, or one stream of ``repro
 serve``) whose responses come back **in that session's request order**
 regardless of worker completion order; many sessions can multiplex
 onto one shared scheduler, which is how the socket server overlaps
-clients.  A cache hit is byte-identical to the artifact originally
-stored (the BLIF text is returned verbatim, never re-serialized).
+clients.  The session orders replies because the scheduler does not:
+a verdict leaves the scheduler only through the completion callback,
+and a reply lives only until the session hands it out, so a stream
+that runs for days holds no record of what it answered.  A cache hit
+is byte-identical to the artifact originally stored (the BLIF text is
+returned verbatim, never re-serialized).
 
 The JSON-lines protocol itself lives in :mod:`repro.service.server`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -40,8 +43,6 @@ from repro.service.scheduler import JobResult, OptimizationScheduler
 #: Job statuses the stats response enumerates (stable wire shape: every
 #: status appears, zero or not).
 JOB_STATUSES = ("ok", "failed", "timeout", "cancelled")
-
-_DRAIN_POLL = 0.005
 
 
 @dataclass
@@ -102,9 +103,10 @@ class ServiceSession:
 
     ``submit`` answers cache hits and parse failures immediately and
     schedules everything else with a completion callback; ``ready``
-    pops finished responses **in submission order** (head-of-line:
+    hands finished responses out **in submission order** (head-of-line:
     response *k* is never released before response *k-1*), which is the
-    per-stream ordering contract of ``repro serve``.  Sessions do not
+    per-stream ordering contract of ``repro serve``.  A response is held
+    only from its answer until ``ready`` hands it out.  Sessions do not
     own the scheduler: many sessions multiplex onto one.
     """
 
@@ -112,11 +114,15 @@ class ServiceSession:
                  scheduler: OptimizationScheduler) -> None:
         self._service = service
         self._scheduler = scheduler
-        self._slots: List[Optional[ServiceResponse]] = []
-        self._next_emit = 0
-        self._unfilled = 0
-        #: scheduler job id -> slot, for outstanding (scheduled) slots.
-        self._jobs: Dict[int, int] = {}
+        #: Requests admitted so far (the next request's slot index).
+        self.submitted = 0
+        #: Responses ``ready`` handed out so far (the next slot it yields).
+        self.emitted = 0
+        #: Unanswered slot -> its scheduler job id (None for a request
+        #: riding along on another slot's job).
+        self._unanswered: Dict[int, Optional[int]] = {}
+        #: Answered slot -> its response, until ``ready`` hands it out.
+        self._answered: Dict[int, ServiceResponse] = {}
         #: cache key -> follower (slot, request) pairs coalesced onto an
         #: in-flight job for the same key (thundering-herd dedup: the
         #: same netlist submitted twice runs once; the duplicate is
@@ -134,9 +140,9 @@ class ServiceSession:
         convert it into an explicit ``overloaded`` reply (the socket
         transport).
         """
-        slot = len(self._slots)
-        self._slots.append(None)
-        self._unfilled += 1
+        slot = self.submitted
+        self.submitted += 1
+        self._unanswered[slot] = None
         cache = self._service.cache
         key: Optional[str] = None
         if cache is not None:
@@ -156,26 +162,25 @@ class ServiceSession:
             self._inflight[key].append((slot, req))
             return slot
         try:
-            self._schedule(slot, req, key)
+            self._unanswered[slot] = self._schedule(slot, req, key)
         except BaseException:
             # Nothing was scheduled: retract the slot so a rejected
             # request (queue full) leaves no hole in the stream.
-            self._slots.pop()
-            self._unfilled -= 1
+            del self._unanswered[slot]
+            self.submitted -= 1
             raise
         if key is not None and not req.trace:
             self._inflight[key] = []
         return slot
 
     def _schedule(self, slot: int, req: ServiceRequest,
-                  key: Optional[str]) -> None:
+                  key: Optional[str]) -> int:
         payload: Dict[str, Any] = {"blif": req.blif,
                                    "options": req.options.to_dict()}
         if req.trace:
             payload["trace"] = True
 
         def _on_complete(job: JobResult) -> None:
-            self._jobs.pop(job.job_id, None)
             self._fill(slot, self._service._miss_response(req, key, job))
             if key is None:
                 return
@@ -193,75 +198,49 @@ class ServiceSession:
                     self._fill(fslot,
                                self._service._miss_response(freq, None, job))
 
-        job_id = self._scheduler.submit(payload, timeout=req.timeout,
-                                        on_complete=_on_complete)
-        self._jobs[job_id] = slot
+        return self._scheduler.submit(payload, timeout=req.timeout,
+                                      on_complete=_on_complete)
 
     # -- progress -------------------------------------------------------
 
     @property
-    def submitted(self) -> int:
-        """Requests admitted so far (the next request's slot index)."""
-        return len(self._slots)
-
-    @property
     def outstanding(self) -> int:
         """Submitted requests not yet answered."""
-        return self._unfilled
-
-    def drain(self) -> None:
-        """Block until every submitted request has a response."""
-        while self._unfilled:
-            self._scheduler.poll()
-            if self._unfilled:
-                time.sleep(_DRAIN_POLL)
+        return len(self._unanswered)
 
     def ready(self) -> List[ServiceResponse]:
-        """Pop completed responses from the head of the stream, in
-        submission order; stops at the first still-pending slot."""
+        """Hand out answered responses from the head of the stream, in
+        submission order; stops at the first unanswered slot.  The
+        session keeps nothing of what it hands out."""
         out: List[ServiceResponse] = []
-        while self._next_emit < len(self._slots):
-            resp = self._slots[self._next_emit]
-            if resp is None:
-                break
-            out.append(resp)
-            self._next_emit += 1
+        while self.emitted in self._answered:
+            out.append(self._answered.pop(self.emitted))
+            self.emitted += 1
         return out
 
-    def take_all(self) -> List[ServiceResponse]:
-        """Every response, in submission order (requires a prior drain)."""
-        assert self._unfilled == 0, "take_all() before drain()"
-        self._next_emit = len(self._slots)
-        return [r for r in self._slots if r is not None]
-
-    def cancel_outstanding(self) -> int:
-        """Cancel every unanswered request, filling its slot.
+    def cancel_outstanding(self) -> None:
+        """Cancel every unanswered request, answering its slot.
 
         A job that already completed inside the scheduler keeps its real
         verdict (first verdict wins); everything else is answered with
         ``status="cancelled"``, ``error="cancelled"`` -- the documented
         per-request error object -- so no client is left hanging.
-        Returns the number of slots that were still unanswered.
         """
-        cancelled = 0
-        for job_id in sorted(self._jobs):
-            if self._slots[self._jobs[job_id]] is None:
-                cancelled += 1
-                self._scheduler.cancel(job_id)
+        for job_id in sorted(job_id for job_id in self._unanswered.values()
+                             if job_id is not None):
+            self._scheduler.cancel(job_id)
         # Defensive: any slot somehow still unanswered is filled so the
         # response stream always terminates.
-        for slot, resp in enumerate(self._slots):
-            if resp is None:
-                self._fill(slot, ServiceResponse(
-                    "", "cancelled", error="cancelled"))
-        return cancelled
+        for slot in sorted(self._unanswered):
+            self._fill(slot, ServiceResponse(
+                "", "cancelled", error="cancelled"))
 
     # -- internals ------------------------------------------------------
 
     def _fill(self, slot: int, resp: ServiceResponse) -> None:
-        assert self._slots[slot] is None, "slot %d filled twice" % slot
-        self._slots[slot] = resp
-        self._unfilled -= 1
+        assert slot in self._unanswered, "slot %d filled twice" % slot
+        del self._unanswered[slot]
+        self._answered[slot] = resp
         self._service._note_response(resp)
 
 
@@ -308,10 +287,10 @@ class OptimizationService:
             for req in requests:
                 scheduler.wait_for_room()
                 session.submit(req)
-            session.drain()
+            scheduler.wait_for_room(1)
         finally:
             scheduler.shutdown()
-        return session.take_all()
+        return session.ready()
 
     def optimize_one(self, request: ServiceRequest) -> ServiceResponse:
         return self.process([request])[0]

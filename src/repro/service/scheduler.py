@@ -17,14 +17,15 @@ everything a job can do to a worker:
   are terminated.
 * **Bounded queue**: ``submit`` raises :class:`SchedulerFull` beyond
   ``queue_cap`` outstanding jobs; callers that block instead wait in
-  :meth:`OptimizationScheduler.wait_for_room`.
-* **Deterministic ordering**: results are reported in submission order,
-  whatever order workers finish in.
-* **Completion callbacks**: ``submit(..., on_complete=fn)`` fires ``fn``
-  parent-side the moment the job's verdict is recorded (inside
-  :meth:`OptimizationScheduler.poll`/``wait``), so an event-driven
-  caller -- the socket server -- never has to block in submission
-  order.  Callbacks must not raise.
+  :meth:`OptimizationScheduler.wait_for_room`, the one poll loop.
+* **Verdicts leave through callbacks only**: ``submit(...,
+  on_complete=fn)`` fires ``fn`` parent-side the moment the job's
+  verdict is recorded, from whichever of ``poll``/``wait_for_room``/
+  ``cancel``/``shutdown`` observes it first.  The scheduler keeps no
+  verdict: recording one drops the job from the queue or the running
+  set, so no per-job state outlives it.  Ordering is the caller's
+  business (:class:`repro.service.api.ServiceSession` orders each
+  stream's replies).  Callbacks must not raise.
 * **One verdict per job**: a job is recorded (and accounted in
   ``repro_scheduler_jobs_total{status}``) exactly once.  When the
   parent-side deadline backstop or a cancellation races a worker that
@@ -42,9 +43,9 @@ from __future__ import annotations
 
 import signal
 import time
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 import multiprocessing as mp
 
@@ -197,9 +198,10 @@ class OptimizationScheduler:
         self.grace = grace
         self._ctx = mp.get_context()
         self._next_id = 0
-        self._pending: Deque[_Pending] = deque()
+        #: Queued jobs in submission order, and the running ones: a job is
+        #: in exactly one of the two until its verdict is recorded.
+        self._pending: OrderedDict[int, _Pending] = OrderedDict()
         self._running: Dict[int, _Running] = {}
-        self._done: Dict[int, JobResult] = {}
         # Parent-side only: workers report through the result channel,
         # never the registry (forked increments would be lost silently).
         self._metrics = get_registry()
@@ -207,14 +209,6 @@ class OptimizationScheduler:
     def _sync_gauges(self) -> None:
         self._metrics.gauge("scheduler_queue_depth").set(len(self._pending))
         self._metrics.gauge("scheduler_running").set(len(self._running))
-
-    def _account(self, result: JobResult) -> None:
-        """Record one finished job in the process metrics registry."""
-        self._metrics.counter("scheduler_jobs_total",
-                              status=result.status).inc()
-        self._metrics.histogram("scheduler_job_seconds").observe(
-            result.elapsed)
-        self._sync_gauges()
 
     # -- public API ----------------------------------------------------
 
@@ -226,17 +220,18 @@ class OptimizationScheduler:
 
         ``on_complete`` (optional) is invoked with the :class:`JobResult`
         exactly once, parent-side, when the verdict is recorded -- from
-        whichever of ``poll``/``wait``/``cancel``/``shutdown`` observes
-        it first.  Callbacks must not raise.
+        whichever of ``poll``/``wait_for_room``/``cancel``/``shutdown``
+        observes it first.  It is the only way the verdict leaves the
+        scheduler.  Callbacks must not raise.
         """
         if self.outstanding >= self.queue_cap:
             raise SchedulerFull("queue cap %d reached" % self.queue_cap)
         job_id = self._next_id
         self._next_id += 1
-        self._pending.append(_Pending(
+        self._pending[job_id] = _Pending(
             job_id, payload,
             self.default_timeout if timeout is None else timeout,
-            on_complete))
+            on_complete)
         self._pump()
         return job_id
 
@@ -248,18 +243,16 @@ class OptimizationScheduler:
         recorded under that verdict (first verdict wins), not as
         ``cancelled``.
         """
-        for i, job in enumerate(self._pending):
-            if job.job_id == job_id:
-                del self._pending[i]
-                self._record(JobResult(job_id, "cancelled",
-                                       error="cancelled while queued"),
-                             job.on_complete)
-                return True
-        if job_id in self._running:
-            self._kill(job_id, "cancelled", "cancelled while running")
-            self._pump()
+        if job_id in self._pending:
+            self._record(JobResult(job_id, "cancelled",
+                                   error="cancelled while queued"))
             return True
-        return False
+        run = self._running.get(job_id)
+        if run is None:
+            return False
+        self._end(run, "cancelled", "cancelled while running")
+        self._pump()
+        return True
 
     @property
     def outstanding(self) -> int:
@@ -269,35 +262,10 @@ class OptimizationScheduler:
         """Advance the scheduler without blocking."""
         self._pump()
 
-    def wait(self, timeout: Optional[float] = None) -> List[JobResult]:
-        """Block until every submitted job completed (or ``timeout``
-        seconds elapsed); returns all results in submission order."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self.outstanding:
-            self._pump()
-            if not self.outstanding:
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            time.sleep(_POLL_INTERVAL)
-        return self.results()
-
-    def results(self) -> List[JobResult]:
-        """Completed results so far, in submission order."""
-        return [self._done[k] for k in sorted(self._done)]
-
-    def run(self, payloads: List[Dict[str, Any]],
-            timeout: Optional[float] = None) -> List[JobResult]:
-        """Submit ``payloads`` with backpressure and drain: the one-call
-        batch entry point, deterministic result order guaranteed."""
-        for payload in payloads:
-            self.wait_for_room()
-            self.submit(payload, timeout=timeout)
-        return self.wait()
-
     def wait_for_room(self, limit: Optional[int] = None) -> None:
         """Poll, blocking while ``limit`` (at most ``queue_cap``) or more
-        jobs are outstanding: the backpressure of every blocking caller."""
+        jobs are outstanding: the backpressure of every blocking caller,
+        and with ``limit=1`` the wait for every verdict."""
         cap = self.queue_cap if limit is None else min(limit, self.queue_cap)
         self._pump()
         while self.outstanding >= cap:
@@ -306,13 +274,11 @@ class OptimizationScheduler:
 
     def shutdown(self) -> None:
         """Cancel everything outstanding and reap every worker process."""
-        while self._pending:
-            job = self._pending.popleft()
-            self._record(JobResult(job.job_id, "cancelled",
-                                   error="scheduler shutdown"),
-                         job.on_complete)
-        for job_id in list(self._running):
-            self._kill(job_id, "cancelled", "scheduler shutdown")
+        for job_id in list(self._pending):
+            self._record(JobResult(job_id, "cancelled",
+                                   error="scheduler shutdown"))
+        for run in list(self._running.values()):
+            self._end(run, "cancelled", "scheduler shutdown")
 
     def __enter__(self) -> "OptimizationScheduler":
         return self
@@ -340,63 +306,49 @@ class OptimizationScheduler:
 
     def _pump(self) -> None:
         now = time.monotonic()
-        for job_id in list(self._running):
-            run = self._running[job_id]
-            if run.conn.poll():
-                try:
-                    msg = run.conn.recv()
-                except (EOFError, OSError):
-                    msg = None
-                self._finish(job_id, msg)
-            elif not run.proc.is_alive():
-                # Died without reporting -- but the report may have raced
-                # the exit, so give the pipe one more look.
-                msg = None
-                if run.conn.poll():
-                    try:
-                        msg = run.conn.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                self._finish(job_id, msg)
+        for run in list(self._running.values()):
+            if run.conn.poll() or not run.proc.is_alive():
+                self._end(run)  # its report, or the crash
             elif run.deadline is not None and now > run.deadline + self.grace:
                 # The in-worker SIGALRM path had its grace period; enforce.
-                self._kill(job_id, "timeout",
-                           "terminated %.1fs past deadline" % self.grace)
+                self._end(run, "timeout",
+                          "terminated %.1fs past deadline" % self.grace)
         while self._pending and len(self._running) < self.max_workers:
-            self._start(self._pending.popleft())
+            self._start(self._pending.popitem(last=False)[1])
         self._sync_gauges()
 
-    def _record(self, result: JobResult,
-                on_complete: Optional[CompletionCallback]) -> None:
-        """The single sink every verdict funnels through: record once,
-        account once, notify once."""
-        if result.job_id in self._done:
-            raise AssertionError(
-                "job %d recorded twice (%s then %s)"
-                % (result.job_id, self._done[result.job_id].status,
-                   result.status))
-        self._done[result.job_id] = result
-        self._account(result)
-        if on_complete is not None:
-            on_complete(result)
+    def _end(self, run: _Running, status: str = "failed",
+             error: Optional[str] = None) -> None:
+        """End a running job: take the worker's report if the pipe holds
+        one, terminate the worker if it is alive, close the pipe, then
+        record the report or the fallback verdict ``status``/``error``
+        (without an ``error``: the worker crashed).
 
-    def _finish(self, job_id: int, msg: Optional[Dict[str, Any]]) -> None:
-        run = self._running.pop(job_id)
+        First verdict wins: a worker may have written its graceful
+        report (the SIGALRM timeout path, or a completion racing a
+        cancel or the backstop) since the last poll, so the pipe is
+        read before the terminate, and that report is the one verdict.
+        """
         elapsed = time.monotonic() - run.started
-        run.proc.join(timeout=self.grace)
+        msg: Optional[Dict[str, Any]] = None
+        try:
+            if run.conn.poll():
+                msg = run.conn.recv()
+        except (EOFError, OSError):
+            msg = None
         if run.proc.is_alive():
             self._terminate(run.proc)
         run.conn.close()
-        if msg is None:
-            exitcode = run.proc.exitcode
-            result = JobResult(
-                job_id, "failed", elapsed=elapsed,
-                error="worker crashed (exit code %s)" % exitcode)
+        if msg is not None:
+            result = JobResult(run.job_id, msg.get("status", "failed"),
+                               value=msg, error=msg.get("error"),
+                               elapsed=elapsed)
         else:
-            status = msg.get("status", "failed")
-            result = JobResult(job_id, status, value=msg,
-                               error=msg.get("error"), elapsed=elapsed)
-        self._record(result, run.on_complete)
+            if error is None:
+                error = "worker crashed (exit code %s)" % run.proc.exitcode
+            result = JobResult(run.job_id, status, error=error,
+                               elapsed=elapsed)
+        self._record(result)
 
     def _terminate(self, proc: Any) -> None:
         """SIGTERM, then SIGKILL after ``grace``: a worker killed in the
@@ -410,26 +362,18 @@ class OptimizationScheduler:
             proc.kill()
             proc.join()
 
-    def _kill(self, job_id: int, status: str,
-              error: Optional[str] = None) -> None:
-        run = self._running.pop(job_id)
-        elapsed = time.monotonic() - run.started
-        # First verdict wins: the worker may have written its graceful
-        # report (the SIGALRM timeout path, or a normal completion racing
-        # a cancel/backstop) in the window since we last polled.  Drain
-        # the channel before terminating so that report -- not the kill
-        # reason -- is the job's one recorded verdict.
-        msg: Optional[Dict[str, Any]] = None
-        try:
-            if run.conn.poll():
-                msg = run.conn.recv()
-        except (EOFError, OSError):
-            msg = None
-        self._terminate(run.proc)
-        run.conn.close()
-        if isinstance(msg, dict) and "status" in msg:
-            result = JobResult(job_id, msg["status"], value=msg,
-                               error=msg.get("error"), elapsed=elapsed)
-        else:
-            result = JobResult(job_id, status, error=error, elapsed=elapsed)
-        self._record(result, run.on_complete)
+    def _record(self, result: JobResult) -> None:
+        """The single sink every verdict funnels through: take the job
+        out of the queue or the running set, account once, notify once."""
+        job = (self._pending.pop(result.job_id, None)
+               or self._running.pop(result.job_id, None))
+        if job is None:
+            raise AssertionError("job %d recorded twice (second verdict: %s)"
+                                 % (result.job_id, result.status))
+        self._metrics.counter("scheduler_jobs_total",
+                              status=result.status).inc()
+        self._metrics.histogram("scheduler_job_seconds").observe(
+            result.elapsed)
+        self._sync_gauges()
+        if job.on_complete is not None:
+            job.on_complete(result)

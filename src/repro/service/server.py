@@ -102,8 +102,6 @@ class _Stream:
         self.wbuf = b""
         #: slot index -> admission time, for the latency histogram.
         self.t0: Dict[int, float] = {}
-        #: Requests answered so far == the next slot ``ready()`` yields.
-        self.served = 0
         #: ``shutdown`` was read: write ``wbuf``, then close.
         self.closing = False
 
@@ -142,7 +140,7 @@ class _Dispatcher:
             return
         cmd = obj.get("cmd")
         if cmd == "stats":
-            _send(stream, self.service.stats(stream.served))
+            _send(stream, self.service.stats(stream.session.emitted))
             return
         if cmd == "metrics":
             _send(stream, {"status": "ok", "format": "prometheus",
@@ -153,7 +151,8 @@ class _Dispatcher:
             # by a client command.
             stream.session.cancel_outstanding()
             self.pump(stream)
-            _send(stream, {"status": "ok", "served": stream.served})
+            _send(stream, {"status": "ok",
+                           "served": stream.session.emitted})
             stream.closing = True
             return
         req_id = obj.get("id")
@@ -184,13 +183,13 @@ class _Dispatcher:
     def pump(self, stream: _Stream) -> None:
         """Move the stream's finished replies, in request order, into its
         write buffer."""
-        for resp in stream.session.ready():
-            t0 = stream.t0.pop(stream.served, None)
+        first = stream.session.emitted
+        for slot, resp in enumerate(stream.session.ready(), first):
+            t0 = stream.t0.pop(slot, None)
             if t0 is not None:
                 self._metrics.histogram("server_request_seconds").observe(
                     time.monotonic() - t0)
             _send(stream, dict(resp.to_json_obj(), id=resp.name))
-            stream.served += 1
 
     def _reject_overloaded(self, stream: _Stream, req_id: Any) -> None:
         self._metrics.counter("server_backpressure_total").inc()
@@ -272,13 +271,13 @@ def serve_stdio(service: OptimizationService, stdin: IO[str],
             write()
             line = stdin.readline()
             if not line:
-                stream.session.drain()
+                scheduler.wait_for_room(1)  # every verdict is in
                 break
             dispatcher.handle_line(stream, line)
         write()
     finally:
         scheduler.shutdown()
-    return stream.served
+    return stream.session.emitted
 
 
 class SocketServer:

@@ -1,9 +1,12 @@
 """Integration tests: the full BDS flow on small circuits + verification."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from repro.bdd import BDD
 from repro.bds import BDSOptions, bds_optimize
 from repro.circuits import build_circuit
 from repro.decomp.engine import DecompOptions
@@ -149,6 +152,36 @@ class TestBdsFlow:
         result = bds_optimize(build_circuit("C432"),
                               BDSOptions(autoreorder=200))
         assert result.perf["reorder_swaps_skipped"] > 0
+
+
+class TestManagerLifetime:
+    @pytest.mark.parametrize("circuit, options", [
+        ("C499", BDSOptions(verify="cec")),
+        ("C432", BDSOptions(use_sdc=True)),
+    ])
+    def test_no_manager_outlives_the_flow(self, monkeypatch, circuit,
+                                          options):
+        # Every manager a phase makes dies with its phase, by reference
+        # counting alone: no cycle may hold one for the cyclic GC.
+        made = []
+        init = BDD.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(BDD, "__init__", tracked_init)
+        net = build_circuit(circuit)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            bds_optimize(net, options)
+            alive = [ref for ref in made if ref() is not None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(made) > 10
+        assert not alive, "%d of %d managers alive" % (len(alive), len(made))
 
 
 class TestVerify:

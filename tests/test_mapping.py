@@ -2,8 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 
+import pytest
 
+from repro.bds import bds_optimize
+from repro.circuits import build_circuit
 from repro.mapping import map_network, mcnc_library
 from repro.mapping.genlib import pattern_placeholders
 from repro.mapping.subject import SubjectGraph, build_subject
@@ -167,6 +171,30 @@ class TestMapping:
         net.add_buf("y", "a")
         result = self._check(net)
         assert result.network.eval({"a": True})["y"] is True
+
+
+class TestMappedQuality:
+    @pytest.mark.parametrize("circuit, area, delay, cells", [
+        # C432 maps onto AOI/OAI and MUX cells, C499 onto XNOR/XOR cells.
+        ("C432", 166112.0, 27.3,
+         {"and2": 19, "aoi21": 5, "aoi22": 2, "inv1": 47, "mux21": 2,
+          "nand2": 46, "nand3": 12, "nand4": 3, "nor2": 3, "nor3": 6,
+          "oai21": 17, "or2": 2}),
+        ("C499", 386976.0, 20.4,
+         {"and2": 16, "inv1": 65, "nand2": 24, "nand3": 21, "nand4": 1,
+          "nor2": 14, "or2": 1, "xnor2": 113, "xor2": 2}),
+    ])
+    def test_bds_output_maps_to_pinned_area_and_delay(self, circuit, area,
+                                                      delay, cells):
+        # The library's areas and delays, and the mapper over them, are
+        # what the bench's bds_area/bds_delay sums measure.
+        net = build_circuit(circuit)
+        optimized = bds_optimize(net).network
+        mapped = map_network(optimized, mcnc_library())
+        assert mapped.area == area
+        assert mapped.delay == pytest.approx(delay, abs=1e-9)
+        assert Counter(gate.cell.name for gate in mapped.gates) == cells
+        assert check_equivalence(optimized, mapped.network).equivalent
 
 
 def _random_network(rng, n_inputs=5, n_nodes=10):

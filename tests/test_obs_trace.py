@@ -201,6 +201,14 @@ class TestCliTrace:
                 if e["name"] in ("flow", "flow.decompose",
                                  "decompose.supernode")}
         assert len(tids) == 1 and 1 not in tids
+        # ... inside the request's own span, so the worker's flow lies in
+        # the window the request was served in, not after the reply.
+        [request] = [e for e in doc["traceEvents"]
+                     if e["name"] == "service.request"]
+        [flow] = [e for e in doc["traceEvents"] if e["name"] == "flow"]
+        assert request["tid"] == 1 and request["args"]["cached"] is False
+        assert request["ts"] <= flow["ts"]
+        assert flow["ts"] + flow["dur"] <= request["ts"] + request["dur"] + 1
 
 
 @pytest.mark.perf

@@ -3,9 +3,11 @@ cache routing, request/response ordering, the stdin transport of the
 JSON-lines daemon (repro.service.server.serve_stdio), and the
 warm-cache speedup acceptance criterion."""
 
+import gc
 import io
 import json
 import time
+import weakref
 
 import pytest
 
@@ -249,6 +251,63 @@ class TestServeLoop:
         phase_names = [c["name"] for c in spans[-1]["children"]]
         assert "flow.sweep" in phase_names and "flow.lower" in phase_names
         assert "trace" not in out[1]
+
+    def test_no_reply_or_verdict_outlives_its_write(self, tmp_path,
+                                                    monkeypatch):
+        # A stream keeps a reply only until it is written, and a job
+        # verdict only until its reply is made, so a daemon's memory
+        # does not grow with the requests it has answered.  Reference
+        # counting alone must free them: the cyclic GC is off.
+        import repro.service.api as api
+        import repro.service.scheduler as scheduler
+
+        made = []
+
+        def tracked(cls):
+            class Tracked(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    made.append(weakref.ref(self))
+            return Tracked
+
+        monkeypatch.setattr(api, "ServiceResponse",
+                            tracked(api.ServiceResponse))
+        monkeypatch.setattr(scheduler, "JobResult",
+                            tracked(scheduler.JobResult))
+        lines = [json.dumps({"blif": write_blif(build_circuit(name)),
+                             "id": "%s-%d" % (name, rep)})
+                 for rep in range(2) for name in SMALL[:3]]
+
+        class Stdin:
+            """Hands out the request lines, then notes what is still
+            alive when it is read past the last one."""
+
+            alive = None
+
+            def readline(self):
+                if lines:
+                    return lines.pop(0) + "\n"
+                self.alive = [ref() for ref in made if ref() is not None]
+                return ""
+
+        stdin, stdout = Stdin(), io.StringIO()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # Backlog 1: each line is read only once every earlier reply
+            # is written, so EOF is read with all six replies out.
+            served = serve_stdio(_slow_service(cache=ArtifactCache(
+                str(tmp_path))), stdin, stdout, backlog=1)
+        finally:
+            if was_enabled:
+                gc.enable()
+        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert served == 6
+        assert [r["cached"] for r in replies] == [False] * 3 + [True] * 3
+        # Six replies and three verdicts (one per miss) were made ...
+        assert len(made) == 9
+        # ... and none of them was still held once it was written.
+        assert stdin.alive == []
 
 
 @pytest.mark.perf

@@ -3,13 +3,17 @@ cancellation, worker-crash recovery, and leak-freedom.
 
 The workers below are module-level so they pickle under any
 multiprocessing start method; they are the fault-injection seam the
-scheduler exposes (any ``payload -> dict`` callable).
+scheduler exposes (any ``payload -> dict`` callable).  Verdicts leave
+the scheduler only through completion callbacks; :class:`_Verdicts`
+collects them.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
 import time
+import weakref
 
 import pytest
 
@@ -77,13 +81,53 @@ def _assert_no_leaked_children():
     assert not multiprocessing.active_children()
 
 
+def _wait(sched, timeout):
+    """Poll until no job is outstanding or ``timeout`` seconds passed."""
+    deadline = time.monotonic() + timeout
+    sched.poll()
+    while sched.outstanding and time.monotonic() < deadline:
+        time.sleep(0.01)
+        sched.poll()
+
+
+class _Verdicts:
+    """The verdicts of the jobs submitted through it, collected by their
+    completion callback and listed in submission order."""
+
+    def __init__(self, sched):
+        self.sched = sched
+        self.by_id = {}
+
+    def __call__(self, result):
+        assert result.job_id not in self.by_id, "verdict delivered twice"
+        self.by_id[result.job_id] = result
+
+    def submit(self, payload, **kwargs):
+        return self.sched.submit(payload, on_complete=self, **kwargs)
+
+    def run(self, payloads, timeout=None):
+        """Submit each payload once there is room, then wait for all."""
+        for payload in payloads:
+            self.sched.wait_for_room()
+            self.submit(payload, timeout=timeout)
+        return self.wait(60)
+
+    def wait(self, timeout):
+        _wait(self.sched, timeout)
+        return self.results()
+
+    def results(self):
+        return [self.by_id[k] for k in sorted(self.by_id)]
+
+
 class TestOrdering:
     def test_results_in_submission_order(self):
         with OptimizationScheduler(max_workers=4,
                                    worker=_quick_worker) as sched:
+            verdicts = _Verdicts(sched)
             for i in range(10):
-                sched.submit({"n": i})
-            results = sched.wait(timeout=30)
+                verdicts.submit({"n": i})
+            results = verdicts.wait(30)
         assert [r.value["n"] for r in results] == list(range(10))
         assert all(r.ok for r in results)
         _assert_no_leaked_children()
@@ -91,7 +135,7 @@ class TestOrdering:
     def test_run_applies_backpressure_past_queue_cap(self):
         with OptimizationScheduler(max_workers=2, queue_cap=3,
                                    worker=_quick_worker) as sched:
-            results = sched.run([{"n": i} for i in range(12)])
+            results = _Verdicts(sched).run([{"n": i} for i in range(12)])
         assert [r.value["n"] for r in results] == list(range(12))
 
     def test_submit_past_cap_raises(self):
@@ -120,9 +164,10 @@ class TestTimeout:
         """The SIGALRM/BddBudgetExceeded path reports within the budget."""
         with OptimizationScheduler(max_workers=1, worker=_sleep_worker,
                                    grace=5.0) as sched:
-            sched.submit({"sleep": 30}, timeout=0.3)
+            verdicts = _Verdicts(sched)
+            verdicts.submit({"sleep": 30}, timeout=0.3)
             t0 = time.monotonic()
-            results = sched.wait(timeout=30)
+            results = verdicts.wait(30)
             took = time.monotonic() - t0
         assert results[0].status == "timeout"
         assert "budget" in (results[0].error or "")
@@ -132,8 +177,9 @@ class TestTimeout:
     def test_backstop_terminates_uninterruptible_worker(self):
         with OptimizationScheduler(max_workers=1, worker=_stubborn_worker,
                                    grace=0.5) as sched:
-            sched.submit({}, timeout=0.3)
-            results = sched.wait(timeout=30)
+            verdicts = _Verdicts(sched)
+            verdicts.submit({}, timeout=0.3)
+            results = verdicts.wait(30)
         assert results[0].status == "timeout"
         assert "terminated" in (results[0].error or "")
         _assert_no_leaked_children()
@@ -141,9 +187,10 @@ class TestTimeout:
     def test_timed_out_job_does_not_block_followers(self):
         with OptimizationScheduler(max_workers=1, worker=_sleep_worker,
                                    grace=0.5) as sched:
-            sched.submit({"sleep": 30}, timeout=0.2)
-            sched.submit({"sleep": 0.01})
-            results = sched.wait(timeout=30)
+            verdicts = _Verdicts(sched)
+            verdicts.submit({"sleep": 30}, timeout=0.2)
+            verdicts.submit({"sleep": 0.01})
+            results = verdicts.wait(30)
         assert results[0].status == "timeout"
         assert results[1].status == "ok"
 
@@ -152,9 +199,10 @@ class TestCrashRecovery:
     def test_crash_marks_failed_and_slot_refills(self):
         with OptimizationScheduler(max_workers=1,
                                    worker=_flaky_worker) as sched:
-            sched.submit({"kind": "crash", "n": 0})
-            sched.submit({"kind": "ok", "n": 1})
-            results = sched.wait(timeout=30)
+            verdicts = _Verdicts(sched)
+            verdicts.submit({"kind": "crash", "n": 0})
+            verdicts.submit({"kind": "ok", "n": 1})
+            results = verdicts.wait(30)
         assert results[0].status == "failed"
         assert "crashed" in results[0].error
         assert "13" not in results[0].error  # exit code 7 in this worker
@@ -164,8 +212,9 @@ class TestCrashRecovery:
     def test_exit_code_is_reported(self):
         with OptimizationScheduler(max_workers=1,
                                    worker=_crash_worker) as sched:
-            sched.submit({})
-            results = sched.wait(timeout=30)
+            verdicts = _Verdicts(sched)
+            verdicts.submit({})
+            results = verdicts.wait(30)
         assert results[0].status == "failed"
         assert "13" in results[0].error
 
@@ -178,8 +227,9 @@ class TestCrashRecovery:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("needs fork start method for closure workers")
         with OptimizationScheduler(max_workers=1, worker=boom) as sched:
-            sched.submit({})
-            results = sched.wait(timeout=30)
+            verdicts = _Verdicts(sched)
+            verdicts.submit({})
+            results = verdicts.wait(30)
         assert results[0].status == "failed"
         assert "kaput" in results[0].error
 
@@ -188,11 +238,12 @@ class TestCancellation:
     def test_cancel_pending_and_running(self):
         with OptimizationScheduler(max_workers=1,
                                    worker=_sleep_worker) as sched:
-            running = sched.submit({"sleep": 30})
-            queued = sched.submit({"sleep": 30})
+            verdicts = _Verdicts(sched)
+            running = verdicts.submit({"sleep": 30})
+            queued = verdicts.submit({"sleep": 30})
             assert sched.cancel(queued)
             assert sched.cancel(running)
-            results = sched.wait(timeout=10)
+            results = verdicts.wait(10)
         assert [r.status for r in results] == ["cancelled", "cancelled"]
         _assert_no_leaked_children()
 
@@ -200,15 +251,16 @@ class TestCancellation:
         with OptimizationScheduler(max_workers=1,
                                    worker=_quick_worker) as sched:
             jid = sched.submit({"n": 0})
-            sched.wait(timeout=30)
+            _wait(sched, 30)
             assert not sched.cancel(jid)
 
     def test_shutdown_reaps_everything(self):
         sched = OptimizationScheduler(max_workers=2, worker=_sleep_worker)
+        verdicts = _Verdicts(sched)
         for _ in range(5):
-            sched.submit({"sleep": 30})
+            verdicts.submit({"sleep": 30})
         sched.shutdown()
-        statuses = [r.status for r in sched.results()]
+        statuses = [r.status for r in verdicts.results()]
         assert len(statuses) == 5
         assert set(statuses) == {"cancelled"}
         _assert_no_leaked_children()
@@ -228,7 +280,8 @@ class TestFirstVerdictWins:
         before = self._jobs_total()
         with OptimizationScheduler(max_workers=1,
                                    worker=_report_then_linger_worker) as sched:
-            jid = sched.submit({"n": 7})
+            verdicts = _Verdicts(sched)
+            jid = verdicts.submit({"n": 7})
             # Wait for the worker's report to land in the pipe WITHOUT
             # letting the scheduler consume it (no poll/wait): the next
             # scheduler action is the cancel itself -- the race window,
@@ -238,7 +291,7 @@ class TestFirstVerdictWins:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             assert sched.cancel(jid)
-            results = sched.results()
+            results = verdicts.results()
         assert [r.status for r in results] == ["ok"]
         assert results[0].value["n"] == 7
         after = self._jobs_total()
@@ -253,13 +306,14 @@ class TestFirstVerdictWins:
         before = self._jobs_total()
         sched = OptimizationScheduler(max_workers=1,
                                       worker=_report_then_linger_worker)
-        jid = sched.submit({"n": 3})
+        verdicts = _Verdicts(sched)
+        jid = verdicts.submit({"n": 3})
         deadline = time.monotonic() + 10.0
         while not sched._running[jid].conn.poll():
             assert time.monotonic() < deadline
             time.sleep(0.01)
         sched.shutdown()
-        assert [r.status for r in sched.results()] == ["ok"]
+        assert [r.status for r in verdicts.results()] == ["ok"]
         after = self._jobs_total()
         assert sum(after.values()) == sum(before.values()) + 1
         _assert_no_leaked_children()
@@ -269,9 +323,9 @@ class TestFirstVerdictWins:
         with OptimizationScheduler(max_workers=1,
                                    worker=_quick_worker) as sched:
             sched.submit({"n": 0})
-            sched.wait(timeout=30)
+            _wait(sched, 30)
             with pytest.raises(AssertionError, match="recorded twice"):
-                sched._record(JobResult(0, "cancelled"), None)
+                sched._record(JobResult(0, "cancelled"))
 
 
 class TestCompletionCallbacks:
@@ -281,7 +335,7 @@ class TestCompletionCallbacks:
                                    worker=_quick_worker) as sched:
             for i in range(6):
                 sched.submit({"n": i}, on_complete=seen.append)
-            sched.wait(timeout=30)
+            _wait(sched, 30)
         assert sorted(r.job_id for r in seen) == list(range(6))
         assert all(r.ok for r in seen)
         assert [r.value["n"] for r in sorted(seen, key=lambda r: r.job_id)] \
@@ -299,6 +353,28 @@ class TestCompletionCallbacks:
         # shutdown (via __exit__) completes the running job's callback.
         assert len(seen) == 2
 
+    def test_no_verdict_outlives_its_callback(self):
+        # The callback is the verdict's only way out: once it returns,
+        # nothing of the job is left in the scheduler to keep it alive.
+        verdicts = []
+
+        def keep_weakly(result):
+            verdicts.append(weakref.ref(result))
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with OptimizationScheduler(max_workers=2,
+                                       worker=_quick_worker) as sched:
+                for i in range(4):
+                    sched.submit({"n": i}, on_complete=keep_weakly)
+                _wait(sched, 30)
+                assert len(verdicts) == 4
+                assert all(ref() is None for ref in verdicts)
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 class TestForkSafety:
     def test_worker_resets_inherited_sigterm_handler(self):
@@ -309,8 +385,9 @@ class TestForkSafety:
         try:
             with OptimizationScheduler(
                     max_workers=1, worker=_sigterm_probe_worker) as sched:
-                sched.submit({})
-                results = sched.wait(timeout=30)
+                verdicts = _Verdicts(sched)
+                verdicts.submit({})
+                results = verdicts.wait(30)
         finally:
             signal.signal(signal.SIGTERM, previous)  # repro-lint: disable=RPL006
         assert results[0].ok
@@ -323,10 +400,11 @@ class TestForkSafety:
         try:
             with OptimizationScheduler(max_workers=1,
                                        worker=_sleep_worker) as sched:
-                jid = sched.submit({"sleep": 30})
+                verdicts = _Verdicts(sched)
+                jid = verdicts.submit({"sleep": 30})
                 t0 = time.monotonic()
                 sched.cancel(jid)
-                results = sched.wait(timeout=10)
+                results = verdicts.wait(10)
                 took = time.monotonic() - t0
         finally:
             signal.signal(signal.SIGTERM, previous)  # repro-lint: disable=RPL006
@@ -342,8 +420,9 @@ class TestOptimizeWorker:
                    "options": BDSOptions(verify="cec").to_dict()}
         with OptimizationScheduler(max_workers=1,
                                    worker=optimize_job_worker) as sched:
-            sched.submit(payload)
-            results = sched.wait(timeout=60)
+            verdicts = _Verdicts(sched)
+            verdicts.submit(payload)
+            results = verdicts.wait(60)
         assert results[0].ok
         optimized = parse_blif(results[0].value["blif"])
         assert verify_networks(net, optimized, mode="cec").equivalent
@@ -352,8 +431,9 @@ class TestOptimizeWorker:
     def test_bad_blif_is_a_failure(self):
         with OptimizationScheduler(max_workers=1,
                                    worker=optimize_job_worker) as sched:
-            sched.submit({"blif": "this is not blif"})
-            results = sched.wait(timeout=30)
+            verdicts = _Verdicts(sched)
+            verdicts.submit({"blif": "this is not blif"})
+            results = verdicts.wait(30)
         assert results[0].status == "failed"
 
 
@@ -367,7 +447,7 @@ class TestFaultInjectionStress:
         payloads = [{"kind": k, "n": i} for i, k in enumerate(kinds)]
         with OptimizationScheduler(max_workers=4, worker=_flaky_worker,
                                    grace=0.5) as sched:
-            results = sched.run(payloads, timeout=1.0)
+            results = _Verdicts(sched).run(payloads, timeout=1.0)
         assert len(results) == len(payloads)
         for payload, result in zip(payloads, results):
             expected = {"ok": "ok", "crash": "failed",
