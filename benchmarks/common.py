@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from repro.bds import BDSOptions, bds_optimize
 from repro.mapping import map_network, mcnc_library
 from repro.network.network import Network
-from repro.sis import SISOptions, script_rugged
+from repro.sis import script_rugged
 from repro.verify import simulate_equivalence
 
 _LIBRARY = mcnc_library()
@@ -46,8 +46,7 @@ class RunMetrics:
 
 
 def run_system(net: Network, system: str, verify: bool = True,
-               bds_options: Optional[BDSOptions] = None,
-               sis_options: Optional[SISOptions] = None) -> RunMetrics:
+               bds_options: Optional[BDSOptions] = None) -> RunMetrics:
     """Optimize ``net`` with one system, map it, verify, return metrics.
 
     CPU time covers optimization only (like the paper's CPU column, which
@@ -63,7 +62,7 @@ def run_system(net: Network, system: str, verify: bool = True,
             kernel.update(result.perf)
             return result.network
         if system == "sis":
-            return script_rugged(net, sis_options).network
+            return script_rugged(net).network
         raise ValueError(system)
 
     # Clean CPU timing first; tracemalloc's instrumentation would bias

@@ -1,4 +1,4 @@
-"""Traversal utilities: support, size, evaluation, SAT- and path-counting.
+"""Traversal utilities: support, size, evaluation, path counting.
 
 Path statistics are central to the paper's structural decompositions: the
 dominator definitions (Definitions 2-4, 9-10) are stated on the *expanded*
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from repro.bdd.manager import BDD, ONE, TERMINAL, ZERO
+from repro.bdd.manager import BDD, ONE, ZERO
 
 
 def support(mgr: BDD, ref: int) -> Set[int]:
@@ -143,48 +143,6 @@ def evaluate(mgr: BDD, ref: int, assignment: Dict[int, bool]) -> bool:
         lo, hi = mgr.children(ref)
         ref = hi if assignment[mgr.var_of(ref)] else lo
     return ref == ONE
-
-
-def sat_count(mgr: BDD, ref: int, nvars: int) -> int:
-    """Number of satisfying assignments over ``nvars`` variables.
-
-    ``nvars`` must be at least the size of the function's support.  The
-    count is taken over the support and scaled by the free variables, so it
-    is independent of the manager's variable order and of unrelated
-    variables living in the same manager.
-    """
-    if mgr.is_const(ref):
-        return (1 << nvars) if ref == ONE else 0
-    supp_levels = sorted(mgr.level_of_var(v) for v in support(mgr, ref))
-    if nvars < len(supp_levels):
-        raise ValueError("nvars smaller than the function's support")
-    # rank_below[l] -> number of support levels strictly greater than l.
-    import bisect
-
-    def vars_between(upper_level: int, lower_level: int) -> int:
-        """Support variables with level in the open interval."""
-        left = bisect.bisect_right(supp_levels, upper_level)
-        if lower_level == TERMINAL:
-            right = len(supp_levels)
-        else:
-            right = bisect.bisect_left(supp_levels, lower_level)
-        return right - left
-
-    memo: Dict[int, int] = {ONE: 1, ZERO: 0}
-
-    def count(r: int) -> int:
-        if r in memo:
-            return memo[r]
-        lo, hi = mgr.children(r)
-        lr = mgr.level(r)
-        n = count(lo) * (1 << vars_between(lr, mgr.level(lo)))
-        n += count(hi) * (1 << vars_between(lr, mgr.level(hi)))
-        memo[r] = n
-        return n
-
-    top_free = bisect.bisect_left(supp_levels, mgr.level(ref))
-    over_support = count(ref) * (1 << top_free)
-    return over_support << (nvars - len(supp_levels))
 
 
 def pick_assignment(mgr: BDD, ref: int) -> Dict[int, bool]:

@@ -12,7 +12,7 @@ and MUX nodes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.bdd import BDD
 from repro.decomp.ftree import CONST0, CONST1, FTree, negate
@@ -116,53 +116,73 @@ def trees_to_network(trees: Dict[str, FTree], inputs: Sequence[str],
     for o in outputs:
         net.add_output(o)
 
-    # Order trees so that a tree whose leaves mention another tree's name
-    # is emitted after it.
-    order = _order_trees(trees, set(inputs))
-
     signal_of: Dict[int, str] = {}   # id(shared subtree) -> emitted signal
-    counter = [0]
-
-    def fresh(prefix: str) -> str:
-        while True:
-            candidate = "%s_%d" % (prefix, counter[0])
-            counter[0] += 1
-            if candidate not in net.nodes and candidate not in net.inputs \
-                    and candidate not in trees:
-                return candidate
-
-    def emit(t: FTree, target: Optional[str] = None) -> str:
-        """Emit subtree ``t``; return its signal name."""
-        if target is None and id(t) in signal_of:
-            return signal_of[id(t)]
-        if t.op == "var":
-            src = str(t.var)
-            if target is None:
-                return src
-            net.add_buf(target, src)
-            return target
-        if t.op in ("const0", "const1"):
-            name_ = target or fresh("const")
-            net.add_const(name_, t.op == "const1")
-            if target is None:
-                signal_of[id(t)] = name_
-            return name_
-        child_signals = [emit(c) for c in t.children]
-        name_ = target or fresh("g")
-        _emit_gate(net, name_, t.op, child_signals)
-        if target is None:
-            signal_of[id(t)] = name_
-        return name_
-
-    for tree_name in order:
+    counter = [0]                    # the g_N / const_N gensym counter
+    for tree_name in _order_trees(trees):
         tree = trees[tree_name]
         if id(tree) in signal_of:
             net.add_buf(tree_name, signal_of[id(tree)])
         else:
-            emit(tree, target=tree_name)
+            _emit_tree(net, trees, tree, tree_name, signal_of, counter)
             signal_of.setdefault(id(tree), tree_name)
     net.check()
     return net
+
+
+def _fresh(net: Network, trees: Dict[str, FTree], counter: List[int],
+           prefix: str) -> str:
+    """The next ``prefix_N`` that names no signal and no tree."""
+    while True:
+        candidate = "%s_%d" % (prefix, counter[0])
+        counter[0] += 1
+        if candidate not in net.nodes and candidate not in net.inputs \
+                and candidate not in trees:
+            return candidate
+
+
+def _emit_tree(net: Network, trees: Dict[str, FTree], tree: FTree,
+               target: str, signal_of: Dict[int, str],
+               counter: List[int]) -> None:
+    """Emit ``tree`` as the signal ``target``.
+
+    Subtrees are emitted depth first, children left to right, on an
+    explicit stack; a gate takes its gensym name once its children have
+    theirs, and a subtree already emitted is read through ``signal_of``.
+    That order fixes the gensym numbering, which the golden digests hold.
+    """
+    if tree.op == "var":
+        net.add_buf(target, str(tree.var))
+        return
+    if tree.op in ("const0", "const1"):
+        net.add_const(target, tree.op == "const1")
+        return
+    # Each frame: a gate subtree and the signals of its children so far.
+    stack: List[Tuple[FTree, List[str]]] = [(tree, [])]
+    while stack:
+        t, sigs = stack[-1]
+        while len(sigs) < len(t.children):
+            child = t.children[len(sigs)]
+            if id(child) in signal_of:
+                sigs.append(signal_of[id(child)])
+            elif child.op == "var":
+                sigs.append(str(child.var))
+            elif child.op in ("const0", "const1"):
+                signal = _fresh(net, trees, counter, "const")
+                net.add_const(signal, child.op == "const1")
+                signal_of[id(child)] = signal
+                sigs.append(signal)
+            else:
+                stack.append((child, []))
+                break
+        else:
+            stack.pop()
+            if not stack:
+                _emit_gate(net, target, t.op, sigs)
+                return
+            signal = _fresh(net, trees, counter, "g")
+            _emit_gate(net, signal, t.op, sigs)
+            signal_of[id(t)] = signal
+            stack[-1][1].append(signal)
 
 
 def _emit_gate(net: Network, name: str, op: str,
@@ -194,27 +214,39 @@ def _emit_gate(net: Network, name: str, op: str,
     net.add_node(name, sigs, list(_GATE_COVERS[op]))
 
 
-def _order_trees(trees: Dict[str, FTree], inputs: Set[str]) -> List[str]:
-    deps: Dict[str, Set[str]] = {}
+def _order_trees(trees: Dict[str, FTree]) -> List[str]:
+    """Tree names, each after every tree whose name its leaves read.
+
+    A depth-first post-order over the trees in ``trees`` order, with an
+    explicit stack.  Dependencies are visited sorted: ``deps`` values are
+    string sets, and unsorted iteration would make the emission order
+    (and the g_N gensym numbering) hash-seed dependent -- caught by the
+    golden-digest tests.
+    """
+    deps: Dict[str, List[str]] = {}
     for name, tree in trees.items():
-        deps[name] = {str(v) for v in tree.support() if str(v) in trees}
+        deps[name] = sorted({str(v) for v in tree.support()
+                             if str(v) in trees})
     order: List[str] = []
     state: Dict[str, int] = {}
-
-    def visit(n: str):
-        if state.get(n) == 2:
-            return
-        if state.get(n) == 1:
-            raise ValueError("cyclic dependency among factoring trees at %r" % n)
-        state[n] = 1
-        # deps values are string sets: unsorted iteration here would make
-        # the emission order (and the g_N gensym numbering) hash-seed
-        # dependent -- caught by the golden-digest tests.
-        for d in sorted(deps[n]):
-            visit(d)
-        state[n] = 2
-        order.append(n)
-
-    for n in trees:
-        visit(n)
+    for root in trees:
+        if state.get(root) == 2:
+            continue
+        state[root] = 1
+        stack: List[Tuple[str, Iterator[str]]] = [(root, iter(deps[root]))]
+        while stack:
+            name, pending = stack[-1]
+            for dep in pending:
+                if state.get(dep) == 2:
+                    continue
+                if state.get(dep) == 1:
+                    raise ValueError(
+                        "cyclic dependency among factoring trees at %r" % dep)
+                state[dep] = 1
+                stack.append((dep, iter(deps[dep])))
+                break
+            else:
+                state[name] = 2
+                order.append(name)
+                stack.pop()
     return order

@@ -89,19 +89,3 @@ def mcnc_library() -> Library:
     for cell in library:
         cell.area *= LAMBDA2_PER_UNIT
     return library
-
-
-def pattern_placeholders(pattern: Pattern) -> List[str]:
-    """Placeholder names of a pattern, in first-occurrence order."""
-    out: List[str] = []
-
-    def rec(p):
-        if isinstance(p, str):
-            if p not in out:
-                out.append(p)
-        else:
-            for child in p[1:]:
-                rec(child)
-
-    rec(pattern)
-    return out

@@ -4,19 +4,24 @@ global BDDs and full collapsing.
 These are the standard structural queries of a logic-synthesis network
 package: the BDS paper's eliminate reasons about supernode granularity,
 and any downstream user of this library (mappers, verifiers, partitioners)
-needs cones and maximum fanout-free cones (MFFCs).  The global-BDD helpers
-(:func:`initial_order`, :func:`global_bdd`) are shared by the equivalence
-checker, sweep's functional merge and :func:`collapse_to_two_level`.
+needs cones and maximum fanout-free cones (MFFCs).
+
+The global-BDD helpers are shared by the equivalence checker, sweep's
+functional merge and :func:`collapse_to_two_level`: :func:`initial_order`
+is their one variable order and :func:`global_bdd` their one builder of a
+network's global BDDs from its covers.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd import BDD, BddBudgetExceeded, ONE, ZERO, force_order
 from repro.bdd.isop import isop
+from repro.bdd.traverse import node_count
 from repro.network.network import Network
+from repro.sop.cover import Cover
 from repro.sop.cube import lit
 
 
@@ -138,17 +143,32 @@ def initial_order(net: Network) -> List[str]:
 _BUDGET_CHUNK = 4096
 
 
-def global_bdd(mgr: BDD, net: Network, output: str, var_of: Dict[str, int],
+def global_bdd(mgr: BDD, net: Network, signal: str, var_of: Dict[str, int],
                cache: Dict[str, Optional[int]], size_cap: int,
-               deadline: Optional[float] = None) -> Optional[int]:
-    """Global BDD of one output; None when the work budget runs out.
+               deadline: Optional[float] = None,
+               node_cap: Optional[int] = None) -> Optional[int]:
+    """Global BDD of ``signal`` over the inputs; None past a bound.
 
-    The work cap is enforced by the kernel itself: the manager's
-    allocation limit is advanced in :data:`_BUDGET_CHUNK` steps, and at
-    every :class:`BddBudgetExceeded` interrupt we either give up (cap or
-    deadline exhausted) or extend the window and resume.  Resuming is
-    cheap -- completed nodes sit in ``cache`` and the operator caches
-    replay the partial work.
+    ``var_of`` maps each input to its variable in ``mgr``; ``cache`` maps
+    each node built so far to its global BDD and is shared across calls.
+
+    The walk is depth first, fanins left to right, on an explicit stack
+    (no Python frame per netlist level): a node's cover is evaluated once
+    all its fanins are built.  With ``node_cap`` set, a node whose global
+    BDD has more than ``node_cap`` nodes is cached as None, and so is a
+    node whose fanin is None: it stops at its first None fanin and builds
+    none of the later ones.  That order is part of the contract -- sweep
+    rewires consumers between calls, so which nodes a None reaches first
+    decides what it later merges.
+
+    ``size_cap`` bounds the work of one call in fresh node allocations,
+    and ``deadline`` (a ``time.monotonic()`` instant) its time; past
+    either the call returns None, and the nodes it completed stay cached.
+    The kernel enforces both: the manager's allocation limit is advanced
+    in :data:`_BUDGET_CHUNK` steps, and at every
+    :class:`BddBudgetExceeded` interrupt we either give up or extend the
+    window and resume.  Resuming is cheap -- completed nodes sit in
+    ``cache`` and the operator caches replay the partial work.
     """
     budget_start = mgr.perf.nodes_allocated
     try:
@@ -156,7 +176,8 @@ def global_bdd(mgr: BDD, net: Network, output: str, var_of: Dict[str, int],
             mgr.set_alloc_limit(min(budget_start + size_cap,
                                     mgr.perf.nodes_allocated + _BUDGET_CHUNK))
             try:
-                return _build_global(mgr, net, output, var_of, cache)
+                return _build_global(mgr, net, signal, var_of, cache,
+                                     node_cap)
             except BddBudgetExceeded:
                 if mgr.perf.nodes_allocated - budget_start >= size_cap:
                     return None
@@ -166,32 +187,58 @@ def global_bdd(mgr: BDD, net: Network, output: str, var_of: Dict[str, int],
         mgr.set_alloc_limit(None)
 
 
-def _build_global(mgr: BDD, net: Network, name: str, var_of: Dict[str, int],
-                  cache: Dict[str, Optional[int]]) -> int:
-    """The recursion under :func:`global_bdd`, which bounds its work
-    through the manager's allocation limit.
+def _build_global(mgr: BDD, net: Network, signal: str,
+                  var_of: Dict[str, int], cache: Dict[str, Optional[int]],
+                  node_cap: Optional[int]) -> Optional[int]:
+    """The walk under :func:`global_bdd`, which bounds its work.
 
-    A plain function, not a closure: a recursive closure reaches itself
-    through its cell, and that cycle would keep ``mgr`` alive until the
-    cyclic GC runs.
+    Each stack frame is a node and the refs of the fanins built so far;
+    the top frame descends into its next fanin that is not built yet.
     """
-    if name in var_of and name not in net.nodes:
-        return mgr.var_ref(var_of[name])
-    ref = cache.get(name)
-    if ref is not None:
-        return ref
-    node = net.nodes[name]
-    fanin_refs = [_build_global(mgr, net, f, var_of, cache)
-                  for f in node.fanins]
+    if signal not in net.nodes:
+        return mgr.var_ref(var_of[signal])
+    if signal in cache:
+        return cache[signal]
+    stack: List[Tuple[str, List[int]]] = [(signal, [])]
+    while True:
+        name, refs = stack[-1]
+        node = net.nodes[name]
+        fanins = node.fanins
+        while len(refs) < len(fanins):
+            fanin = fanins[len(refs)]
+            if fanin not in net.nodes:
+                refs.append(mgr.var_ref(var_of[fanin]))
+                continue
+            ref = cache.get(fanin)
+            if ref is None:
+                break
+            refs.append(ref)
+        if len(refs) < len(fanins) and fanins[len(refs)] not in cache:
+            if len(stack) >= len(net.nodes):
+                raise ValueError("combinational cycle through %r" % name)
+            stack.append((fanins[len(refs)], []))
+            continue
+        built: Optional[int] = None
+        if len(refs) == len(fanins):
+            built = _cover_bdd(mgr, node.cover, refs)
+            if node_cap is not None and node_count(mgr, built) > node_cap:
+                built = None
+        cache[name] = built
+        stack.pop()
+        if not stack:
+            return built
+
+
+def _cover_bdd(mgr: BDD, cover: Cover, refs: List[int]) -> int:
+    """The BDD of a cube cover whose literal ``i`` reads ``refs[i]``."""
     acc = ZERO
-    for cube in node.cover:
+    for cube in cover:
         term = ONE
         for l in cube:
-            term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
+            term = mgr.and_(term, refs[l >> 1] ^ (l & 1))
             if term == ZERO:
                 break
         acc = mgr.or_(acc, term)
-    cache[name] = acc
     return acc
 
 

@@ -30,9 +30,6 @@ class Node:
         self.fanins = list(fanins)
         self.cover = cover
 
-    def is_constant(self) -> bool:
-        return not self.fanins or not cover_support(self.cover)
-
     def constant_value(self) -> Optional[bool]:
         """0/1 if the node is a constant function, else None."""
         if not self.cover:
@@ -150,9 +147,6 @@ class Network:
     # Structure queries
     # ------------------------------------------------------------------
 
-    def is_input(self, name: str) -> bool:
-        return name not in self.nodes
-
     def fanouts(self) -> Dict[str, List[str]]:
         out: Dict[str, List[str]] = {name: [] for name in self.inputs}
         for name in self.nodes:
@@ -218,7 +212,11 @@ class Network:
         return {o: values[o] for o in self.outputs}
 
     def eval_words(self, words: Dict[str, int], width: int = 64) -> Dict[str, int]:
-        """Bit-parallel simulation: each signal is a ``width``-bit word."""
+        """Bit-parallel simulation: each signal is a ``width``-bit word.
+
+        Returns the word of every signal: ``words`` first, then the nodes
+        in topological order.
+        """
         mask = (1 << width) - 1
         values: Dict[str, int] = dict(words)
         for node in self.topological():
@@ -231,7 +229,7 @@ class Network:
                     term &= (w ^ mask) if (l & 1) else w
                 acc |= term
             values[node.name] = acc
-        return {o: values[o] for o in self.outputs}
+        return values
 
     # ------------------------------------------------------------------
     # Editing

@@ -3,8 +3,10 @@
 "Removal of initial redundancy from the Boolean network ... in addition to
 removing constant and single-variable nodes, all functionally equivalent
 nodes are also identified and removed."  Functional duplicates are found by
-bit-parallel random simulation signatures and confirmed exactly with global
-BDDs (bounded); the paper credits this step with much of BDS's runtime
+bit-parallel random simulation signatures (:meth:`Network.eval_words`) and
+confirmed exactly with global BDDs from the builder the equivalence checker
+uses, :func:`repro.network.cones.global_bdd`, capped at :data:`BDD_CAP`
+nodes per node; the paper credits this step with much of BDS's runtime
 advantage.
 
 Output names are part of the interface, so a node that drives an output is
@@ -21,29 +23,32 @@ that form the structural passes reach their fixed point in a few passes.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.bdd import ZERO
-from repro.bdd.traverse import node_count
+from repro.network.cones import global_bdd, initial_order
 from repro.network.network import Network, Node
 from repro.sop.cover import cover_cofactor
 from repro.sop.cube import lit
-
-if TYPE_CHECKING:
-    from repro.bdd import BDD
 
 #: Guard against a future rule conflict; the rules below converge well
 #: before it.
 MAX_PASSES = 50
 
+#: The functional merge's simulation signatures: seed and word width.
+SEED = 2000
+SIGNATURE_WIDTH = 256
+#: Largest global BDD (in nodes) the functional merge builds for a node;
+#: a node past it, and every node reading it, is never merged.
+BDD_CAP = 500
+#: Fresh node allocations one global BDD may take.
+WORK_CAP = 40 * BDD_CAP
 
-def sweep(net: Network, merge_equivalent: bool = True, seed: int = 2000,
-          bdd_cap: int = 500) -> Network:
+
+def sweep(net: Network, merge_equivalent: bool = True) -> Network:
     """Sweep the network in place; returns it for chaining."""
     out_pos = _output_positions(net)
     _structural_fixpoint(net, out_pos)
-    if merge_equivalent and _merge_functional(net, out_pos, seed=seed,
-                                              bdd_cap=bdd_cap):
+    if merge_equivalent and _merge_functional(net, out_pos):
         # Merging can expose more constants/buffers.
         _structural_fixpoint(net, out_pos)
     net.check()
@@ -267,33 +272,15 @@ def _merge_structural(net: Network, out_pos: Dict[str, int]) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _merge_functional(net: Network, out_pos: Dict[str, int], seed: int,
-                      bdd_cap: int) -> bool:
+def _merge_functional(net: Network, out_pos: Dict[str, int]) -> bool:
     """Merge nodes with identical global functions (signature + BDD proof)."""
     from repro.bdd import BDD
 
-    rng = random.Random(seed)
-    width = 256
-    words: Dict[str, int] = {
-        i: rng.getrandbits(width) for i in net.inputs
-    }
-    values = dict(words)
-    topo = net.topological()
-    mask = (1 << width) - 1
-    for node in topo:
-        fanin_words = [values[f] for f in node.fanins]
-        acc = 0
-        for cube in node.cover:
-            term = mask
-            for l in cube:
-                w = fanin_words[l >> 1]
-                term &= (w ^ mask) if (l & 1) else w
-            acc |= term
-        values[node.name] = acc
-
+    rng = random.Random(SEED)
+    words = {i: rng.getrandbits(SIGNATURE_WIDTH) for i in net.inputs}
     groups: Dict[int, List[str]] = {}
-    for name in [*net.inputs, *(n.name for n in topo)]:
-        groups.setdefault(values[name], []).append(name)
+    for name, word in net.eval_words(words, SIGNATURE_WIDTH).items():
+        groups.setdefault(word, []).append(name)
 
     candidates = []
     for group in groups.values():
@@ -311,25 +298,18 @@ def _merge_functional(net: Network, out_pos: Dict[str, int], seed: int,
 
     # Exact confirmation with bounded global BDDs (FORCE-ordered inputs
     # keep structured circuits like shifters from blowing the cap).
-    from repro.network.cones import initial_order
-
     mgr = BDD()
-    pi_var = {i: mgr.var_ref(mgr.new_var(i)) for i in initial_order(net)}
-    global_bdd: Dict[str, Optional[int]] = dict(pi_var)
-
-    # Overall work budget: once the manager holds this many nodes, stop
-    # proving equivalences (the sweep is an optimization, not a must).
-    allocation_budget = 40 * bdd_cap
-
+    var_of = {i: mgr.new_var(i) for i in initial_order(net)}
+    cache: Dict[str, Optional[int]] = {}
     changed = False
     for group in candidates:
         # Safe GC point between groups: every ref still needed for
-        # later cone building lives in global_bdd.
-        mgr.maybe_collect([r for r in global_bdd.values() if r is not None])
+        # later cone building lives in the cache.
+        mgr.maybe_collect([r for r in cache.values() if r is not None])
         keep_by_ref: Dict[int, str] = {}
         for name in group:
-            ref = _bounded_global(mgr, net, name, global_bdd,
-                                  allocation_budget, bdd_cap)
+            ref = global_bdd(mgr, net, name, var_of, cache, WORK_CAP,
+                             node_cap=BDD_CAP)
             if ref is None:
                 continue
             keep = keep_by_ref.get(ref)
@@ -345,45 +325,3 @@ def _merge_functional(net: Network, out_pos: Dict[str, int], seed: int,
     if changed:
         net.remove_dangling()
     return changed
-
-
-def _bounded_global(mgr: BDD, net: Network, name: str,
-                    global_bdd: Dict[str, Optional[int]],
-                    allocation_budget: int, bdd_cap: int) -> Optional[int]:
-    """Global BDD of ``name`` in ``mgr``, or None past either bound.
-
-    A plain function, not a closure: a recursive closure reaches itself
-    through its cell, and that cycle would keep ``mgr`` and its global
-    BDDs alive past the sweep, until the cyclic GC runs.
-    """
-    if name in global_bdd:
-        return global_bdd[name]
-    if mgr.num_nodes_allocated > allocation_budget:
-        return None
-    node = net.nodes[name]
-    fanin_refs = []
-    for f in node.fanins:
-        r = _bounded_global(mgr, net, f, global_bdd, allocation_budget,
-                            bdd_cap)
-        if r is None:
-            global_bdd[name] = None
-            return None
-        fanin_refs.append(r)
-    acc = ZERO
-    for cube in node.cover:
-        term = 0  # ONE
-        for l in cube:
-            litref = fanin_refs[l >> 1] ^ (l & 1)
-            term = mgr.and_(term, litref)
-            if mgr.num_nodes_allocated > allocation_budget:
-                global_bdd[name] = None
-                return None
-        acc = mgr.or_(acc, term)
-        if mgr.num_nodes_allocated > allocation_budget:
-            global_bdd[name] = None
-            return None
-    if node_count(mgr, acc) > bdd_cap:
-        global_bdd[name] = None
-        return None
-    global_bdd[name] = acc
-    return acc

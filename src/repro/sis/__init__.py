@@ -17,7 +17,7 @@ from repro.sis.kernels import all_kernels
 from repro.sis.factor import factor_cover, factored_literal_count
 from repro.sis.fx import fast_extract
 from repro.sis.resub import resubstitute_all
-from repro.sis.rugged import script_rugged, SISOptions, SISResult
+from repro.sis.rugged import script_rugged, SISResult
 
 __all__ = [
     "algebraic_divide",
@@ -27,6 +27,5 @@ __all__ = [
     "fast_extract",
     "resubstitute_all",
     "script_rugged",
-    "SISOptions",
     "SISResult",
 ]

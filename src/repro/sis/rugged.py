@@ -22,32 +22,42 @@ covers, matching the algebraic methodology BDS is benchmarked against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.network import Network, eliminate_literal, sweep
+from repro.obs.trace import Span, Tracer
 from repro.sis.fx import fast_extract
 from repro.sis.resub import resubstitute_all
 from repro.sop.minimize import simplify_cover
 
-
-@dataclass
-class SISOptions:
-    eliminate_threshold_final: int = -1
-    eliminate_threshold_mid: int = 5
-    fx_rounds: int = 200
-    resub_rounds: int = 2
-    simplify_max_cubes: int = 120
-    sweep_merge_equivalent: bool = False  # plain SIS sweep is structural
+#: ``eliminate -1`` and ``eliminate 5``: the literal-saving thresholds.
+ELIMINATE_FINAL = -1
+ELIMINATE_MID = 5
+#: Extraction and resubstitution rounds per ``fx`` / ``resub -a``.
+FX_ROUNDS = 200
+RESUB_ROUNDS = 2
+#: ``simplify`` skips covers with more cubes (SIS also bails on them).
+SIMPLIFY_MAX_CUBES = 120
 
 
 @dataclass
 class SISResult:
     network: Network
-    timings: Dict[str, float]
     fx_extracted: int
     resubstitutions: int
+    # Root span of the script's trace ("sis", one child span per command
+    # run, named "sis.<command>"), as on BDSResult.
+    trace: Span
+
+    @property
+    def timings(self) -> Dict[str, float]:
+        """Seconds per command, summed over its runs, read off the spans."""
+        out: Dict[str, float] = {}
+        for span in self.trace.children:
+            command = span.name.partition(".")[2]
+            out[command] = out.get(command, 0.0) + span.duration
+        return out
 
     def summary(self) -> str:
         s = self.network.stats()
@@ -56,44 +66,51 @@ class SISResult:
                    " ".join("%s=%.3fs" % kv for kv in sorted(self.timings.items()))))
 
 
-def script_rugged(net: Network, options: Optional[SISOptions] = None) -> SISResult:
-    """Run the algebraic optimization script on a copy of ``net``."""
-    opts = options or SISOptions()
-    timings: Dict[str, float] = {}
+def script_rugged(net: Network) -> SISResult:
+    """Run the algebraic optimization script on a copy of ``net``.
+
+    Every sweep is structural (``merge_equivalent=False``), as SIS's is.
+    """
+    tr = Tracer()
     work = net.copy()
-
-    def timed(label, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        timings[label] = timings.get(label, 0.0) + time.perf_counter() - t0
-        return out
-
-    def simplify() -> None:
-        _simplify_all(work, opts.simplify_max_cubes)
-
-    timed("sweep", lambda: sweep(work, merge_equivalent=opts.sweep_merge_equivalent))
-    timed("eliminate", lambda: eliminate_literal(work, opts.eliminate_threshold_final))
-    timed("simplify", simplify)
-    timed("eliminate", lambda: eliminate_literal(work, opts.eliminate_threshold_final))
-    timed("sweep", lambda: sweep(work, merge_equivalent=False))
-    timed("eliminate", lambda: eliminate_literal(work, opts.eliminate_threshold_mid))
-    timed("simplify", simplify)
-    resubs = timed("resub", lambda: resubstitute_all(work, opts.resub_rounds))
-    extracted = timed("fx", lambda: fast_extract(work, opts.fx_rounds))
-    resubs += timed("resub", lambda: resubstitute_all(work, opts.resub_rounds))
-    timed("sweep", lambda: sweep(work, merge_equivalent=False))
-    timed("eliminate", lambda: eliminate_literal(work, opts.eliminate_threshold_final))
-    timed("sweep", lambda: sweep(work, merge_equivalent=False))
-    timed("simplify", simplify)
+    with tr.span("sis", circuit=net.name) as root:
+        with tr.span("sis.sweep"):
+            sweep(work, merge_equivalent=False)
+        with tr.span("sis.eliminate"):
+            eliminate_literal(work, ELIMINATE_FINAL)
+        with tr.span("sis.simplify"):
+            _simplify_all(work)
+        with tr.span("sis.eliminate"):
+            eliminate_literal(work, ELIMINATE_FINAL)
+        with tr.span("sis.sweep"):
+            sweep(work, merge_equivalent=False)
+        with tr.span("sis.eliminate"):
+            eliminate_literal(work, ELIMINATE_MID)
+        with tr.span("sis.simplify"):
+            _simplify_all(work)
+        with tr.span("sis.resub"):
+            resubs = resubstitute_all(work, RESUB_ROUNDS)
+        with tr.span("sis.fx"):
+            extracted = fast_extract(work, FX_ROUNDS)
+        with tr.span("sis.resub"):
+            resubs += resubstitute_all(work, RESUB_ROUNDS)
+        with tr.span("sis.sweep"):
+            sweep(work, merge_equivalent=False)
+        with tr.span("sis.eliminate"):
+            eliminate_literal(work, ELIMINATE_FINAL)
+        with tr.span("sis.sweep"):
+            sweep(work, merge_equivalent=False)
+        with tr.span("sis.simplify"):
+            _simplify_all(work)
     work.remove_dangling()
     work.check()
-    return SISResult(work, timings, extracted, resubs)
+    return SISResult(work, extracted, resubs, trace=root)
 
 
-def _simplify_all(net: Network, max_cubes: int) -> None:
+def _simplify_all(net: Network) -> None:
     """Per-node two-level minimization (the ``simplify`` command)."""
     for node in net.nodes.values():
-        if len(node.cover) > max_cubes:
+        if len(node.cover) > SIMPLIFY_MAX_CUBES:
             continue  # espresso-lite would be too slow; SIS also bails
         node.cover = simplify_cover(node.cover)
         node.normalize()

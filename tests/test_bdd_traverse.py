@@ -1,6 +1,5 @@
-"""Tests for traversal utilities: paths, sat counting, leaf-edge stats."""
+"""Tests for traversal utilities: paths, leaf-edge stats."""
 
-import itertools
 import random
 
 import pytest
@@ -16,7 +15,6 @@ from repro.bdd.traverse import (
     node_count,
     phased_vertices,
     pick_assignment,
-    sat_count,
     shared_node_count,
     support_many,
 )
@@ -25,45 +23,6 @@ from repro.bdd.traverse import (
 @pytest.fixture
 def mgr():
     return BDD()
-
-
-class TestSatCount:
-    def test_constants(self, mgr):
-        mgr.new_var("a")
-        assert sat_count(mgr, ONE, 3) == 8
-        assert sat_count(mgr, ZERO, 3) == 0
-
-    def test_single_var(self, mgr):
-        a = mgr.new_var("a")
-        assert sat_count(mgr, mgr.var_ref(a), 1) == 1
-        assert sat_count(mgr, mgr.var_ref(a), 4) == 8
-
-    def test_and_or_xor(self, mgr):
-        a, b, c = (mgr.new_var(n) for n in "abc")
-        ra, rb, rc = (mgr.var_ref(v) for v in (a, b, c))
-        assert sat_count(mgr, mgr.and_(ra, rb), 3) == 2
-        assert sat_count(mgr, mgr.or_(ra, rb), 3) == 6
-        assert sat_count(mgr, mgr.xor_many([ra, rb, rc]), 3) == 4
-
-    def test_against_enumeration(self, mgr):
-        rng = random.Random(5)
-        vs = [mgr.new_var() for _ in range(6)]
-        refs = [mgr.var_ref(v) for v in vs]
-        for _ in range(30):
-            f, g = rng.choice(refs), rng.choice(refs)
-            refs.append(getattr(mgr, rng.choice(["and_", "or_", "xor_"]))(f, g))
-        f = refs[-1]
-        expected = sum(
-            evaluate(mgr, f, dict(zip(vs, bits)))
-            for bits in itertools.product([False, True], repeat=6)
-        )
-        assert sat_count(mgr, f, 6) == expected
-
-    def test_nvars_too_small(self, mgr):
-        vs = [mgr.new_var() for _ in range(3)]
-        f = mgr.and_many([mgr.var_ref(v) for v in vs])
-        with pytest.raises(ValueError):
-            sat_count(mgr, f, 2)
 
 
 class TestPickAssignment:

@@ -183,6 +183,21 @@ class TestManagerLifetime:
         assert len(made) > 10
         assert not alive, "%d of %d managers alive" % (len(alive), len(made))
 
+    def test_flow_leaves_no_cyclic_garbage(self):
+        # Reference counting frees everything a flow run makes: with the
+        # cyclic GC off, a collection afterwards finds nothing to free.
+        net = build_circuit("C499")
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            bds_optimize(net, BDSOptions(verify="cec"))
+            found = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert found == 0, "%d objects only the cyclic GC frees" % found
+
 
 class TestVerify:
     def test_detects_inequivalence(self):

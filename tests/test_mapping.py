@@ -9,7 +9,6 @@ import pytest
 from repro.bds import bds_optimize
 from repro.circuits import build_circuit
 from repro.mapping import map_network, mcnc_library
-from repro.mapping.genlib import pattern_placeholders
 from repro.mapping.subject import SubjectGraph, build_subject
 from repro.network import Network
 from repro.sop.cube import lit
@@ -22,11 +21,6 @@ class TestLibrary:
         assert lib.inverter.name == "inv1"
         names = {c.name for c in lib}
         assert {"nand2", "nor2", "xor2", "xnor2", "mux21", "aoi21"} <= names
-
-    def test_pattern_placeholders(self):
-        lib = mcnc_library()
-        xor = lib.by_name("xor2")
-        assert pattern_placeholders(xor.pattern) == ["a", "b"]
 
     def test_cell_covers_match_semantics(self):
         # Each cell's cover must agree with its pattern semantics.

@@ -14,7 +14,7 @@ from repro.bdd import BDD, ONE, ZERO
 from repro.bdd.isop import cover_to_bdd, isop
 from repro.bdd.restrict import constrain, minimize_with_dc, restrict
 from repro.bdd.reorder import random_order, sift
-from repro.bdd.traverse import evaluate, node_count, sat_count, support
+from repro.bdd.traverse import evaluate, node_count, support
 from repro.decomp import decompose
 from repro.sop.cover import complement as sop_complement
 from repro.sop.cover import cover_eval, is_tautology, remove_contained
@@ -98,16 +98,6 @@ def test_bdd_canonicity(e1, e2):
     t2 = tuple(eval_expr(e2, bits)
                for bits in itertools.product([False, True], repeat=NVARS))
     assert (r1 == r2) == (t1 == t2)
-
-
-@settings(max_examples=100, deadline=None)
-@given(expr_strategy())
-def test_sat_count_matches_enumeration(e):
-    mgr, variables = _fresh()
-    ref = build_bdd(mgr, variables, e)
-    expected = sum(eval_expr(e, bits)
-                   for bits in itertools.product([False, True], repeat=NVARS))
-    assert sat_count(mgr, ref, NVARS) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 """Tests for sweep and eliminate (both cube- and BDD-domain variants)."""
 
 import gc
+import hashlib
 import importlib
 import itertools
 import random
@@ -11,6 +12,7 @@ import pytest
 from repro.bds.flow import BDSOptions, bds_optimize
 from repro.circuits import build_circuit, random_logic
 from repro.network import Network, eliminate_bdd, eliminate_literal, sweep
+from repro.network.blif import write_blif
 from repro.network.eliminate import PartitionedNetwork, collapse_node_into
 from repro.network.sweep import substitute_fanin
 from repro.sop.cube import lit
@@ -107,6 +109,18 @@ class TestSweep:
         # u, v, w all compute a&b; only one should survive feeding y.
         survivors = [n for n in ("u", "v", "w", "w1") if n in net.nodes]
         assert len(survivors) <= 1
+
+    def test_functional_merge_output_is_pinned(self):
+        # The per-node BDD cap fires on this netlist, so the output pins
+        # the global-BDD walk's order: a walk that builds every fanin of a
+        # node before it looks for a capped one leaves 275 nodes and 893
+        # literals instead.
+        net = random_logic(64, 400, 32, seed=652768597)
+        sweep(net)
+        assert (net.node_count(), net.literal_count()) == (274, 891)
+        assert (hashlib.sha256(write_blif(net).encode()).hexdigest()
+                == "f281bdc560ab790e52e2b5f4c2b4a16b"
+                   "51e4ccc959d0e8f6efad7fe0f565cca5")
 
     def test_global_bdd_manager_dies_with_the_sweep(self, monkeypatch):
         # No cycle keeps the functional merge's manager (and its global
