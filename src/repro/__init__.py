@@ -29,7 +29,7 @@ Subpackages
 import sys
 
 # The ITE hot path is iterative (explicit stack) and needs no headroom,
-# but other kernel recursions (compose, quantification, isop, traversals)
+# but other kernel recursions (cofactor, quantification, isop, traversals)
 # still descend one level per variable; keep room for deep orders.
 if sys.getrecursionlimit() < 100000:
     sys.setrecursionlimit(100000)

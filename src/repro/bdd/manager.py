@@ -53,13 +53,13 @@ ONE = 0
 ZERO = 1
 
 #: For each computed-table key tag, the tuple positions holding BDD refs.
-#: Tags: 0=ite, 1=cofactor, 2=compose, 3=vector_compose, 4=exists,
-#: 5=restrict, 6=constrain, 7=and_exists (see the respective modules).
+#: Tags: 0=ite, 1=cofactor, 3=vector_compose, 4=exists, 5=restrict,
+#: 6=constrain, 7=and_exists (see the respective modules; ``compose``
+#: caches through its cofactors and ITE).
 #: ``repro.check.bdd_sanitizer`` audits cache hygiene against this map.
 CACHE_TAG_REF_POSITIONS: Dict[int, Tuple[int, ...]] = {
     0: (1, 2, 3),
     1: (1,),
-    2: (1, 3),
     3: (1,),
     4: (1,),
     5: (1, 2),
@@ -632,28 +632,14 @@ class BDD:
         return r
 
     def compose(self, f: int, var: int, g: int) -> int:
-        """Substitute function ``g`` for variable ``var`` in ``f``."""
-        return self._compose(f, var, g, self._var2level[var])
+        """Substitute function ``g`` for variable ``var`` in ``f``.
 
-    def _compose(self, f: int, var: int, g: int, lv: int) -> int:
-        if self.level(f) > lv:
-            return f
-        key = (2, f, var, g)
-        cached = self._cache.lookup(key)
-        if cached is not None:
-            return cached
-        fvar = self.var_of(f)
-        lo, hi = self.children(f)
-        if fvar == var:
-            r = self.ite(g, hi, lo)
-        else:
-            r0 = self._compose(lo, var, g, lv)
-            r1 = self._compose(hi, var, g, lv)
-            # fvar may be above or below var's level relative to substituted
-            # functions; rebuild with ITE on the literal to stay canonical.
-            r = self.ite(self.var_ref(fvar), r1, r0)
-        self._cache.insert(key, r)
-        return r
+        ``f[var := g] == ite(g, f|var=1, f|var=0)``: the two cofactors
+        rebuild only the nodes above ``var`` with ``mk``, and one ITE
+        merges them under ``g``.
+        """
+        return self.ite(g, self.cofactor(f, var, True),
+                        self.cofactor(f, var, False))
 
     def vector_compose(self, f: int, subst: Dict[int, int]) -> int:
         """Simultaneously substitute ``subst[var]`` for each variable."""

@@ -15,7 +15,8 @@ away such "sibling-substitution" variables and is the safer minimizer.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.bdd.manager import BDD, ONE, ZERO
 
@@ -102,17 +103,21 @@ def _constrain(mgr: BDD, f: int, c: int) -> int:
     return r
 
 
-def minimize_with_dc(mgr: BDD, onset: int, dc: int) -> int:
+def minimize_with_dc(mgr: BDD, onset: int, dc: int,
+                     size: Optional[Callable[[int], int]] = None) -> int:
     """Pick a small cover of the incompletely specified function (onset, dc).
 
     Returns a function ``g`` with ``onset <= g <= onset | dc`` (Theorem 2's
     interval), chosen heuristically to have a small BDD.  Tries ``restrict``
     of both polarities and the two interval endpoints, keeps the smallest
     result that satisfies the containment -- ``restrict`` itself always
-    does, the check is a safety net.
+    does, the check is a safety net.  ``size`` counts a ref's nodes
+    (``node_count`` by default; a caller with a memo of counts passes it).
     """
     from repro.bdd.traverse import node_count
 
+    if size is None:
+        size = partial(node_count, mgr)
     if dc == ZERO:
         return onset
     care = dc ^ 1
@@ -126,8 +131,8 @@ def minimize_with_dc(mgr: BDD, onset: int, dc: int) -> int:
             continue
         if not mgr.leq(cand, upper):
             continue
-        size = node_count(mgr, cand)
-        if best is None or size < best_size:
-            best, best_size = cand, size
+        cand_size = size(cand)
+        if best is None or cand_size < best_size:
+            best, best_size = cand, cand_size
     assert best is not None
     return best

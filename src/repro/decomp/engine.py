@@ -10,6 +10,10 @@ The engine recursively applies the highest-priority decomposition that
 makes progress (every extracted part strictly smaller than the function),
 memoizing sub-results per BDD ref so that equal subfunctions share one
 factoring-tree object -- the first layer of sharing extraction.
+
+No garbage collection or reordering runs inside :func:`decompose`, so a
+node count taken once stays true for the whole call: one :class:`_Sizes`
+memo per call takes every count.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.bdd.manager import BDD, ONE, ZERO
-from repro.bdd.traverse import live_node_count, node_count
+from repro.bdd.traverse import live_node_count, node_count, support
 from repro.decomp.cuts import enumerate_cuts
 from repro.decomp.dominators import find_simple_decompositions
 from repro.decomp.ftree import CONST0, CONST1, FTree, mux, negate, op2, var_leaf
 from repro.decomp.generalized import (
+    Bound,
     conjunctive_candidates,
     disjunctive_candidates,
 )
@@ -70,6 +75,26 @@ class DecompStats:
         return dict(self.__dict__)
 
 
+class _Sizes:
+    """Node counts of the refs one :func:`decompose` call measures.
+
+    A ref and its complement share their nodes, so counts are kept per
+    node index.
+    """
+
+    __slots__ = ("mgr", "counts")
+
+    def __init__(self, mgr: BDD) -> None:
+        self.mgr = mgr
+        self.counts: Dict[int, int] = {}
+
+    def __call__(self, ref: int) -> int:
+        count = self.counts.get(ref >> 1)
+        if count is None:
+            count = self.counts[ref >> 1] = node_count(self.mgr, ref)
+        return count
+
+
 def decompose(mgr: BDD, root: int, options: Optional[DecompOptions] = None,
               stats: Optional[DecompStats] = None) -> FTree:
     """Decompose the function ``root`` into a factoring tree.
@@ -81,11 +106,11 @@ def decompose(mgr: BDD, root: int, options: Optional[DecompOptions] = None,
     stats = stats if stats is not None else DecompStats()
     live_node_count(mgr, [root])  # record peak-live gauge before we expand
     memo: Dict[int, FTree] = {}
-    return _decompose(mgr, root, options, stats, memo)
+    return _decompose(mgr, root, options, stats, memo, _Sizes(mgr))
 
 
 def _decompose(mgr: BDD, f: int, opts: DecompOptions, stats: DecompStats,
-               memo: Dict[int, FTree]) -> FTree:
+               memo: Dict[int, FTree], sizes: _Sizes) -> FTree:
     if f == ONE:
         return CONST1
     if f == ZERO:
@@ -104,16 +129,16 @@ def _decompose(mgr: BDD, f: int, opts: DecompOptions, stats: DecompStats,
         memo[f] = tree
         return tree
 
-    size = node_count(mgr, f)
+    size = sizes(f)
     cuts = enumerate_cuts(mgr, f)
     tree = None
 
     if opts.enable_simple or opts.enable_mux or opts.enable_generalized:
-        tree = _try_structural(mgr, f, size, cuts, opts, stats, memo)
+        tree = _try_structural(mgr, f, size, cuts, opts, stats, memo, sizes)
     if tree is None and opts.enable_bool_xnor:
-        tree = _try_boolean_xnor(mgr, f, size, opts, stats, memo)
+        tree = _try_boolean_xnor(mgr, f, size, opts, stats, memo, sizes)
     if tree is None:
-        tree = _shannon(mgr, f, opts, stats, memo)
+        tree = _shannon(mgr, f, opts, stats, memo, sizes)
 
     if opts.verify:
         assert tree.to_bdd(mgr) == f, "decomposition verification failed"
@@ -121,14 +146,18 @@ def _decompose(mgr: BDD, f: int, opts: DecompOptions, stats: DecompStats,
     return tree
 
 
-def _try_structural(mgr, f, size, cuts, opts, stats, memo) -> Optional[FTree]:
+def _try_structural(mgr, f, size, cuts, opts, stats, memo,
+                    sizes) -> Optional[FTree]:
     """Search priorities 1-3 together: simple dominators, functional MUX,
     generalized (Boolean) dominators.
 
     Candidates from every enabled family compete on (largest part, total
-    size); the paper's empirical family order breaks ties.  Pure priority
-    ordering would let a lopsided simple dominator pre-empt the balanced
-    conjunctive split of e.g. the and4 example (Fig. 4).
+    size); the paper's empirical family order breaks ties, and within a
+    family the earlier candidate wins.  Pure priority ordering would let a
+    lopsided simple dominator pre-empt the balanced conjunctive split of
+    e.g. the and4 example (Fig. 4).  The generalized searches start from
+    the best simple or MUX score and skip every divisor that cannot beat
+    the best so far (:class:`repro.decomp.generalized.Bound`).
     """
     scored = []
     simple = find_simple_decompositions(mgr, f, cuts)
@@ -137,40 +166,38 @@ def _try_structural(mgr, f, size, cuts, opts, stats, memo) -> Optional[FTree]:
         for d in simple:
             if d.kind not in allowed:
                 continue
-            sizes = [node_count(mgr, p) for p in (d.upper,) + d.parts]
-            if any(s >= size for s in sizes):
+            parts = [sizes(p) for p in (d.upper,) + d.parts]
+            if any(s >= size for s in parts):
                 continue
-            scored.append(((max(sizes), sum(sizes), 0), ("simple", d)))
+            scored.append(((max(parts), sum(parts), 0), ("simple", d)))
     if opts.enable_mux:
         for d in simple:
             # A MUX whose select is a bare literal is just the Shannon
             # fallback; only *functional* MUXes (Theorem 7) are searched.
             if d.kind != "mux" or mgr.is_var(d.upper):
                 continue
-            sizes = [node_count(mgr, p) for p in (d.upper,) + d.parts]
-            if any(s >= size for s in sizes):
+            parts = [sizes(p) for p in (d.upper,) + d.parts]
+            if any(s >= size for s in parts):
                 continue
-            if sum(sizes) > size + opts.xnor_slack:
+            if sum(parts) > size + opts.xnor_slack:
                 continue
-            scored.append(((max(sizes), sum(sizes), 1), ("mux", d)))
+            scored.append(((max(parts), sum(parts), 1), ("mux", d)))
     if opts.enable_generalized:
-        for c in (conjunctive_candidates(mgr, f, cuts)
-                  + disjunctive_candidates(mgr, f, cuts)):
-            sd = node_count(mgr, c.divisor)
-            sq = node_count(mgr, c.quotient)
-            if sd >= size or sq >= size:
-                continue
-            if (sd + sq) * opts.min_gain >= size + 1:
-                continue
-            scored.append(((max(sd, sq), sd + sq, 2), ("bool", c)))
+        bound = Bound(mgr, min((score for score, _ in scored), default=None),
+                      size, support(mgr, f), opts.min_gain, sizes)
+        for c in (conjunctive_candidates(mgr, f, cuts, bound)
+                  + disjunctive_candidates(mgr, f, cuts, bound)):
+            score = bound.score(sizes(c.divisor), sizes(c.quotient))
+            if score is not None:
+                scored.append((score, ("bool", c)))
     if not scored:
         return None
     _, (kind, best) = min(scored, key=lambda item: item[0])
     if kind == "mux":
         stats.functional_mux += 1
-        sel = _decompose(mgr, best.upper, opts, stats, memo)
-        hi = _decompose(mgr, best.parts[0], opts, stats, memo)
-        lo = _decompose(mgr, best.parts[1], opts, stats, memo)
+        sel = _decompose(mgr, best.upper, opts, stats, memo, sizes)
+        hi = _decompose(mgr, best.parts[0], opts, stats, memo, sizes)
+        lo = _decompose(mgr, best.parts[1], opts, stats, memo, sizes)
         return mux(sel, hi, lo)
     if kind == "simple":
         if best.kind == "and":
@@ -179,24 +206,31 @@ def _try_structural(mgr, f, size, cuts, opts, stats, memo) -> Optional[FTree]:
             stats.simple_or += 1
         else:
             stats.simple_xnor += 1
-        a = _decompose(mgr, best.upper, opts, stats, memo)
-        b = _decompose(mgr, best.parts[0], opts, stats, memo)
+        a = _decompose(mgr, best.upper, opts, stats, memo, sizes)
+        b = _decompose(mgr, best.parts[0], opts, stats, memo, sizes)
         return op2(best.kind, a, b)
+    # The searches check no candidate's identity; the winner's is checked
+    # before it is used.
     if best.kind == "and":
+        assert mgr.and_(best.divisor, best.quotient) == f, \
+            "Boolean AND decomposition failed its identity"
         stats.boolean_and += 1
     else:
+        assert mgr.or_(best.divisor, best.quotient) == f, \
+            "Boolean OR decomposition failed its identity"
         stats.boolean_or += 1
-    a = _decompose(mgr, best.divisor, opts, stats, memo)
-    b = _decompose(mgr, best.quotient, opts, stats, memo)
+    a = _decompose(mgr, best.divisor, opts, stats, memo, sizes)
+    b = _decompose(mgr, best.quotient, opts, stats, memo, sizes)
     return op2(best.kind, a, b)
 
 
-def _try_boolean_xnor(mgr, f, size, opts, stats, memo) -> Optional[FTree]:
+def _try_boolean_xnor(mgr, f, size, opts, stats, memo,
+                      sizes) -> Optional[FTree]:
     best = None
     best_score = None
     for c in boolean_xnor_candidates(mgr, f, opts.max_xnor_candidates):
-        sg = node_count(mgr, c.g)
-        sh = node_count(mgr, c.h)
+        sg = sizes(c.g)
+        sh = sizes(c.h)
         if sg >= size or sh >= size:
             continue
         if sg + sh > size + opts.xnor_slack:
@@ -207,16 +241,16 @@ def _try_boolean_xnor(mgr, f, size, opts, stats, memo) -> Optional[FTree]:
     if best is None:
         return None
     stats.boolean_xnor += 1
-    a = _decompose(mgr, best.g, opts, stats, memo)
-    b = _decompose(mgr, best.h, opts, stats, memo)
+    a = _decompose(mgr, best.g, opts, stats, memo, sizes)
+    b = _decompose(mgr, best.h, opts, stats, memo, sizes)
     return op2("xnor", a, b)
 
 
-def _shannon(mgr, f, opts, stats, memo) -> FTree:
+def _shannon(mgr, f, opts, stats, memo, sizes) -> FTree:
     stats.shannon += 1
     var = mgr.var_of(f)
     lo, hi = mgr.children(f)
     sel = var_leaf(var)
-    hi_t = _decompose(mgr, hi, opts, stats, memo)
-    lo_t = _decompose(mgr, lo, opts, stats, memo)
+    hi_t = _decompose(mgr, hi, opts, stats, memo, sizes)
+    lo_t = _decompose(mgr, lo, opts, stats, memo, sizes)
     return mux(sel, hi_t, lo_t)

@@ -112,21 +112,27 @@ def initial_order(net: Network) -> List[str]:
     index = {n: i for i, n in enumerate(names)}
     groups = []
     topo = net.topological()
-    # Hyperedges: transitive input support of each node, approximated by
-    # direct PI fanins per node cone frontier (cheap but effective).
-    pi_support: Dict[str, set] = {i: {i} for i in net.inputs}
+    # Hyperedges: the transitive input support of each output.  Supports
+    # are bitmasks over input positions (bit i is names[i]), so each node
+    # costs one OR per fanin instead of a copy of its fanins' sets.
+    pi_support: Dict[str, int] = {n: 1 << i for i, n in enumerate(names)}
     first_use: Dict[str, int] = {}
     for pos, node in enumerate(topo):
-        supp = set()
+        supp = 0
         for f in node.fanins:
-            supp |= pi_support.get(f, set())
+            supp |= pi_support.get(f, 0)
             if f in index:
                 first_use.setdefault(f, pos)
         pi_support[node.name] = supp
     for out in net.outputs:
-        supp = pi_support.get(out, {out} if out in net.inputs else set())
-        if supp:
-            groups.append([index[s] for s in supp])
+        supp = pi_support.get(out, 0)
+        group = []
+        while supp:
+            low = supp & -supp
+            group.append(low.bit_length() - 1)
+            supp ^= low
+        if group:
+            groups.append(group)
     order = [names[i] for i in force_order(groups, len(names))]
     # Inputs no node reads count as used after every node.
     half = len(order) // 2

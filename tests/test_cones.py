@@ -5,14 +5,17 @@ import sys
 
 import pytest
 
-from repro.bdd import BDD
+from repro.bdd import BDD, force_order
 from repro.bdd.traverse import node_count
-from repro.circuits import parity_tree, ripple_adder
+from repro.circuits import (TABLE1_CIRCUITS, build_circuit, parity_tree,
+                            ripple_adder)
+from repro.circuits.randlogic import random_logic
 from repro.network import Network, sweep
 from repro.network.cones import (
     collapse_to_two_level,
     extract_cone,
     global_bdd,
+    initial_order,
     mffc,
     transitive_fanin,
     transitive_fanout,
@@ -222,3 +225,58 @@ class TestDeepNetlists:
         assert net.nodes["y2"].fanins == ["y1"]
         assert net.node_count() == nodes
         assert net.depth() >= 3000
+
+
+def initial_order_by_sets(net: Network):
+    """``initial_order`` as it was with one input-support set per node:
+    the reference the bitmask version must reproduce."""
+    names = list(net.inputs)
+    index = {n: i for i, n in enumerate(names)}
+    topo = net.topological()
+    pi_support = {i: {i} for i in net.inputs}
+    first_use = {}
+    for pos, node in enumerate(topo):
+        supp = set()
+        for f in node.fanins:
+            supp |= pi_support.get(f, set())
+            if f in index:
+                first_use.setdefault(f, pos)
+        pi_support[node.name] = supp
+    groups = [[index[s] for s in pi_support[out]] for out in net.outputs
+              if pi_support.get(out)]
+    order = [names[i] for i in force_order(groups, len(names))]
+    half = len(order) // 2
+    top = sum(first_use.get(n, len(topo)) for n in order[:half])
+    bottom = sum(first_use.get(n, len(topo))
+                 for n in order[len(order) - half:])
+    if top < bottom:
+        order.reverse()
+    return order
+
+
+class TestInitialOrder:
+    """Bitmask supports give the order the per-node support sets gave."""
+
+    @pytest.mark.parametrize("name", TABLE1_CIRCUITS)
+    def test_table1(self, name):
+        net = build_circuit(name)
+        assert initial_order(net) == initial_order_by_sets(net)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_logic(self, seed):
+        net = random_logic(24, 120, 16, seed=seed)
+        assert initial_order(net) == initial_order_by_sets(net)
+
+    def test_deep_chain(self):
+        net = deep_chain(1500)
+        assert initial_order(net) == initial_order_by_sets(net)
+
+    def test_outputs_that_are_inputs_or_constants(self):
+        net = Network("edge")
+        for n in "abc":
+            net.add_input(n)
+        net.add_and("y", ["c", "a"])
+        net.add_const("k", True)
+        for out in ("b", "y", "k"):
+            net.add_output(out)
+        assert initial_order(net) == initial_order_by_sets(net)

@@ -156,6 +156,25 @@ class TestFlowIntegration:
                 "phase deltas for %r do not sum to the flow total" % key
         assert set(agg) <= set(totals) | {k for k in agg if agg[k] == 0}
 
+    @pytest.mark.parametrize("circuit, eliminate, decompose", [
+        ("C432", 3713, 681),
+        ("C499", 14070, 8310),
+    ])
+    def test_phase_ite_calls_are_pinned(self, circuit, eliminate, decompose):
+        """The kernel work of the two phases that make most of it, exact.
+
+        Eliminate's trial compositions go through two cofactors and one
+        ITE, and the generalized-dominator search skips the RESTRICT of
+        every divisor that cannot win (C432 read 5,853 and 5,516 before
+        either, C499 30,615 and 22,364).  A change here is a change in
+        the work the flow does: say why, then update the pins.
+        """
+        result = bds_optimize(build_circuit(circuit), tracer=Tracer())
+        work = {span.name: span.counters.get("ite_calls", 0)
+                for span in result.trace.children}
+        assert work["flow.eliminate"] == eliminate
+        assert work["flow.decompose"] == decompose
+
     def test_tracing_does_not_change_the_network(self):
         net = build_circuit("C432")
         plain = bds_optimize(net, BDSOptions())

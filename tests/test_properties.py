@@ -8,7 +8,7 @@ decomposition engine and the reorderer are checked on every example.
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bdd import BDD, ONE, ZERO
 from repro.bdd.isop import cover_to_bdd, isop
@@ -111,6 +111,29 @@ def test_shannon_reconstruction(e):
         assert mgr.ite(mgr.var_ref(v), f1, f0) == ref
         assert v not in support(mgr, f0)
         assert v not in support(mgr, f1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr_strategy(), expr_strategy(), st.integers(0, NVARS - 1),
+       st.randoms(use_true_random=False))
+# g reads x itself and x0, a variable above x.
+@example(("xor", ("var", 2), ("var", 4)), ("or", ("var", 2), ("var", 0)),
+         2, None)
+def test_compose_matches_vector_compose_and_truth_table(e_f, e_g, x, rnd):
+    """compose(f, x, g) is f with g put in for x, on every input and
+    under any variable order."""
+    mgr, variables = _fresh()
+    f = build_bdd(mgr, variables, e_f)
+    g = build_bdd(mgr, variables, e_g)
+    if rnd is not None:
+        random_order(mgr, rnd)
+    h = mgr.compose(f, variables[x], g)
+    assert h == mgr.vector_compose(f, {variables[x]: g})
+    for bits in itertools.product([False, True], repeat=NVARS):
+        substituted = list(bits)
+        substituted[x] = eval_expr(e_g, bits)
+        assert evaluate(mgr, h, dict(zip(variables, bits))) == \
+            eval_expr(e_f, substituted)
 
 
 @settings(max_examples=80, deadline=None)
