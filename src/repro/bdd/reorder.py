@@ -319,11 +319,24 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
     invalidated by the session's opening sweep.  ``interactions`` and
     ``prune`` exist for differential testing: disabling them changes the
     work done, never the resulting order or size.
+
+    Every live variable labels at least one live node, so the size can
+    never drop below the number of live variables.  With ``prune``,
+    sifting stops once it gets there: a variable moves only on a strict
+    improvement, so every later variable would return to its start
+    level.  When every variable labels exactly one allocated node the
+    call returns the allocated size before opening the session: without
+    the sweep, nodes the roots do not reach stay allocated.
     """
     t0 = time.perf_counter()
     perf = mgr.perf
-    size = mgr.begin_reorder(roots, interactions=interactions)
     perf.reorder_passes += 1
+    if prune and all(count == 1 for count in mgr._var_counts):
+        size = mgr.num_nodes_live
+        perf.reorder_size_before += size
+        perf.reorder_size_after += size
+        return size
+    size = mgr.begin_reorder(roots, interactions=interactions)
     perf.reorder_size_before += size
     peak = size
     try:
@@ -331,6 +344,8 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
             return size
         counts = mgr._var_counts
         candidates = [v for v in range(mgr.num_vars) if counts[v] > 0]
+        # The size can never drop below the number of live variables.
+        floor = len(candidates) if prune else 0
         candidates.sort(key=lambda v: -counts[v])
         if max_vars:
             candidates = candidates[:max_vars]
@@ -341,6 +356,8 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
         var_arr = mgr._var
         free = mgr._free
         for var in candidates:
+            if size == floor:
+                break
             if counts[var] == 0:
                 continue
             # -1 is the all-ones mask: without an interaction matrix every

@@ -12,7 +12,7 @@ speedup it buys.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.manager import BDD, ONE
 
@@ -65,6 +65,46 @@ def transfer_many(src: BDD, refs: Sequence[int],
     order_ok = _is_order_preserving(src, dst, var_map)
     new_refs = [_transfer_rec(src, dst, r, var_map, memo, order_ok) for r in refs]
     return TransferResult(dst, new_refs, var_map)
+
+
+def structure_key(src: BDD, ref: int) -> Tuple[Tuple[int, ...], List[int]]:
+    """What ``transfer_many(src, [ref])`` would build, without building it.
+
+    Returns ``(key, order)``.  ``order`` lists the support of ``ref`` top
+    level first: the fresh manager's variable ``i`` is ``order[i]``, at
+    level ``i``.  ``key`` is the new root ref followed by the fresh
+    manager's node arrays, one ``(var, lo, hi)`` triple per node in
+    allocation order.  The walk visits nodes in :func:`_transfer_rec`'s
+    order, else child before then child.  Two refs share a key exactly
+    when their transfers give managers that differ only in variable
+    names.
+    """
+    var_arr, lo_arr, hi_arr = src._var, src._lo, src._hi
+    v2l = src._var2level
+    new_ref: Dict[int, int] = {0: ONE}
+    flat: List[int] = []
+    stack = [ref >> 1]
+    while stack:
+        idx = stack[-1]
+        if idx in new_ref:
+            stack.pop()
+            continue
+        lo, hi = lo_arr[idx], hi_arr[idx]
+        if lo >> 1 not in new_ref:
+            stack.append(lo >> 1)
+            continue
+        if hi >> 1 not in new_ref:
+            stack.append(hi >> 1)
+            continue
+        stack.pop()
+        new_ref[idx] = (len(flat) // 3 + 1) << 1
+        flat += (v2l[var_arr[idx]], new_ref[lo >> 1] ^ (lo & 1),
+                 new_ref[hi >> 1])
+    levels = sorted(set(flat[0::3]))
+    rank = {level: i for i, level in enumerate(levels)}
+    flat[0::3] = [rank[level] for level in flat[0::3]]
+    key = (new_ref[ref >> 1] ^ (ref & 1),) + tuple(flat)
+    return key, [src._level2var[level] for level in levels]
 
 
 class TransferResult:

@@ -24,9 +24,9 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bdd import BDD, transfer_many
+from repro.bdd import BDD, structure_key, transfer_many
 from repro.bdd.reorder import sift
 from repro.bds.dontcare import minimize_with_sdc
 from repro.check import Checker, sanitize_bdd
@@ -240,14 +240,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                 minimize_with_sdc(part)
 
         with tr.span("flow.decompose"):
-            stats = DecompStats()
-            trees = {}
-            for name in sorted(part.refs):
-                moved = transfer_many(part.mgr, [part.refs[name]])
-                counters.live.append(moved.manager.perf_snapshot)
-                trees[name] = _decompose_supernode(
-                    moved.manager, moved.refs[0], name, opts, stats, tr)
-                counters.retire(moved.manager.perf_snapshot)
+            trees, stats = _decompose_supernodes(part, opts, counters, tr)
 
         with tr.span("flow.balance"):
             if opts.balance_trees:
@@ -297,21 +290,59 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                      verify_unknown_outputs=verify_unknown)
 
 
-def _decompose_supernode(mgr: BDD, root: int, name: str, opts: BDSOptions,
-                         stats: DecompStats, tracer: Tracer) -> FTree:
-    """Reorder, decompose and sanitize one supernode BDD in its private
-    manager; returns the factoring tree over signal names."""
-    mgr.tracer = tracer
-    with tracer.span("decompose.supernode", supernode=name):
-        if opts.autoreorder:
-            mgr.enable_autoreorder(opts.autoreorder, opts.autoreorder_method)
-        if opts.reorder and not mgr.is_const(root):
-            sift(mgr, [root], size_limit=opts.sift_size_limit)
-        tree = decompose(mgr, root, options=opts.decomp, stats=stats)
-        if opts.check_level != "off":
-            # Decomposition-merge safe point: the supernode's private
-            # manager must still be canonical after reorder + decompose.
-            sanitize_bdd(mgr, level=opts.check_level,
-                         subject="supernode %r manager after decompose" % name)
-    return tree.map_vars(mgr.var_name)
+def _decompose_supernodes(part: PartitionedNetwork, opts: BDSOptions,
+                          counters: _Counters, tracer: Tracer
+                          ) -> Tuple[Dict[str, FTree], DecompStats]:
+    """Factoring trees over signal names for every supernode of ``part``,
+    and their summed step counts.
 
+    Supernodes whose transfers would build the same manager up to
+    variable names are sifted and decomposed once: a later one renames
+    the first one's tree and adds its counts again (docs/THEORY.md, "Why
+    reusing a supernode's decomposition is exact").
+    """
+    stats = DecompStats()
+    trees: Dict[str, FTree] = {}
+    # key -> (first supernode, tree over its manager's variable ids,
+    # its step counts)
+    done: Dict[Tuple[int, ...], Tuple[str, FTree, DecompStats]] = {}
+    for name in sorted(part.refs):
+        ref = part.refs[name]
+        key, order = structure_key(part.mgr, ref)
+        first = done.get(key)
+        with tracer.span("decompose.supernode", supernode=name) as span:
+            if first is None:
+                tree, counts = _decompose_supernode(
+                    part.mgr, ref, name, opts, counters, tracer)
+                first = done[key] = (name, tree, counts)
+            else:
+                span.attrs["reuses"] = first[0]
+            names = [part.mgr.var_name(var) for var in order]
+            trees[name] = first[1].map_vars(names.__getitem__)
+        stats.add(first[2])
+    return trees, stats
+
+
+def _decompose_supernode(src: BDD, ref: int, name: str, opts: BDSOptions,
+                         counters: _Counters,
+                         tracer: Tracer) -> Tuple[FTree, DecompStats]:
+    """Transfer one supernode BDD into a fresh manager, then reorder,
+    decompose and sanitize it there; returns the factoring tree over the
+    fresh manager's variable ids and the decomposition's step counts."""
+    moved = transfer_many(src, [ref])
+    mgr, root = moved.manager, moved.refs[0]
+    counters.live.append(mgr.perf_snapshot)
+    mgr.tracer = tracer
+    if opts.autoreorder:
+        mgr.enable_autoreorder(opts.autoreorder, opts.autoreorder_method)
+    if opts.reorder and not mgr.is_const(root):
+        sift(mgr, [root], size_limit=opts.sift_size_limit)
+    stats = DecompStats()
+    tree = decompose(mgr, root, options=opts.decomp, stats=stats)
+    if opts.check_level != "off":
+        # Decomposition-merge safe point: the supernode's private
+        # manager must still be canonical after reorder + decompose.
+        sanitize_bdd(mgr, level=opts.check_level,
+                     subject="supernode %r manager after decompose" % name)
+    counters.retire(mgr.perf_snapshot)
+    return tree, stats

@@ -74,6 +74,11 @@ class DecompStats:
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
 
+    def add(self, other: "DecompStats") -> None:
+        """Add ``other``'s counts to these."""
+        for kind, count in other.as_dict().items():
+            setattr(self, kind, getattr(self, kind) + count)
+
 
 class _Sizes:
     """Node counts of the refs one :func:`decompose` call measures.
@@ -106,11 +111,12 @@ def decompose(mgr: BDD, root: int, options: Optional[DecompOptions] = None,
     stats = stats if stats is not None else DecompStats()
     live_node_count(mgr, [root])  # record peak-live gauge before we expand
     memo: Dict[int, FTree] = {}
-    return _decompose(mgr, root, options, stats, memo, _Sizes(mgr))
+    return _decompose(mgr, root, options, stats, memo, _Sizes(mgr), {})
 
 
 def _decompose(mgr: BDD, f: int, opts: DecompOptions, stats: DecompStats,
-               memo: Dict[int, FTree], sizes: _Sizes) -> FTree:
+               memo: Dict[int, FTree], sizes: _Sizes,
+               checked: Dict[int, int]) -> FTree:
     if f == ONE:
         return CONST1
     if f == ZERO:
@@ -134,20 +140,27 @@ def _decompose(mgr: BDD, f: int, opts: DecompOptions, stats: DecompStats,
     tree = None
 
     if opts.enable_simple or opts.enable_mux or opts.enable_generalized:
-        tree = _try_structural(mgr, f, size, cuts, opts, stats, memo, sizes)
+        tree = _try_structural(mgr, f, size, cuts, opts, stats, memo,
+                               sizes, checked)
     if tree is None and opts.enable_bool_xnor:
-        tree = _try_boolean_xnor(mgr, f, size, opts, stats, memo, sizes)
+        tree = _try_boolean_xnor(mgr, f, size, opts, stats, memo, sizes,
+                                 checked)
     if tree is None:
-        tree = _shannon(mgr, f, opts, stats, memo, sizes)
+        tree = _shannon(mgr, f, opts, stats, memo, sizes, checked)
 
     if opts.verify:
-        assert tree.to_bdd(mgr) == f, "decomposition verification failed"
+        # ``checked`` maps the id() of every tree already verified (and
+        # kept alive by ``memo``) to its ref, so only this level's new
+        # operators are rebuilt: by induction the whole tree denotes f.
+        assert tree.to_bdd(mgr, known=checked) == f, \
+            "decomposition verification failed"
+        checked[id(tree)] = f
     memo[f] = tree
     return tree
 
 
-def _try_structural(mgr, f, size, cuts, opts, stats, memo,
-                    sizes) -> Optional[FTree]:
+def _try_structural(mgr, f, size, cuts, opts, stats, memo, sizes,
+                    checked) -> Optional[FTree]:
     """Search priorities 1-3 together: simple dominators, functional MUX,
     generalized (Boolean) dominators.
 
@@ -195,9 +208,12 @@ def _try_structural(mgr, f, size, cuts, opts, stats, memo,
     _, (kind, best) = min(scored, key=lambda item: item[0])
     if kind == "mux":
         stats.functional_mux += 1
-        sel = _decompose(mgr, best.upper, opts, stats, memo, sizes)
-        hi = _decompose(mgr, best.parts[0], opts, stats, memo, sizes)
-        lo = _decompose(mgr, best.parts[1], opts, stats, memo, sizes)
+        sel = _decompose(mgr, best.upper, opts, stats, memo, sizes,
+                         checked)
+        hi = _decompose(mgr, best.parts[0], opts, stats, memo, sizes,
+                        checked)
+        lo = _decompose(mgr, best.parts[1], opts, stats, memo, sizes,
+                        checked)
         return mux(sel, hi, lo)
     if kind == "simple":
         if best.kind == "and":
@@ -206,8 +222,9 @@ def _try_structural(mgr, f, size, cuts, opts, stats, memo,
             stats.simple_or += 1
         else:
             stats.simple_xnor += 1
-        a = _decompose(mgr, best.upper, opts, stats, memo, sizes)
-        b = _decompose(mgr, best.parts[0], opts, stats, memo, sizes)
+        a = _decompose(mgr, best.upper, opts, stats, memo, sizes, checked)
+        b = _decompose(mgr, best.parts[0], opts, stats, memo, sizes,
+                       checked)
         return op2(best.kind, a, b)
     # The searches check no candidate's identity; the winner's is checked
     # before it is used.
@@ -219,13 +236,14 @@ def _try_structural(mgr, f, size, cuts, opts, stats, memo,
         assert mgr.or_(best.divisor, best.quotient) == f, \
             "Boolean OR decomposition failed its identity"
         stats.boolean_or += 1
-    a = _decompose(mgr, best.divisor, opts, stats, memo, sizes)
-    b = _decompose(mgr, best.quotient, opts, stats, memo, sizes)
+    a = _decompose(mgr, best.divisor, opts, stats, memo, sizes, checked)
+    b = _decompose(mgr, best.quotient, opts, stats, memo, sizes,
+                   checked)
     return op2(best.kind, a, b)
 
 
-def _try_boolean_xnor(mgr, f, size, opts, stats, memo,
-                      sizes) -> Optional[FTree]:
+def _try_boolean_xnor(mgr, f, size, opts, stats, memo, sizes,
+                      checked) -> Optional[FTree]:
     best = None
     best_score = None
     for c in boolean_xnor_candidates(mgr, f, opts.max_xnor_candidates):
@@ -241,16 +259,16 @@ def _try_boolean_xnor(mgr, f, size, opts, stats, memo,
     if best is None:
         return None
     stats.boolean_xnor += 1
-    a = _decompose(mgr, best.g, opts, stats, memo, sizes)
-    b = _decompose(mgr, best.h, opts, stats, memo, sizes)
+    a = _decompose(mgr, best.g, opts, stats, memo, sizes, checked)
+    b = _decompose(mgr, best.h, opts, stats, memo, sizes, checked)
     return op2("xnor", a, b)
 
 
-def _shannon(mgr, f, opts, stats, memo, sizes) -> FTree:
+def _shannon(mgr, f, opts, stats, memo, sizes, checked) -> FTree:
     stats.shannon += 1
     var = mgr.var_of(f)
     lo, hi = mgr.children(f)
     sel = var_leaf(var)
-    hi_t = _decompose(mgr, hi, opts, stats, memo, sizes)
-    lo_t = _decompose(mgr, lo, opts, stats, memo, sizes)
+    hi_t = _decompose(mgr, hi, opts, stats, memo, sizes, checked)
+    lo_t = _decompose(mgr, lo, opts, stats, memo, sizes, checked)
     return mux(sel, hi_t, lo_t)

@@ -9,7 +9,7 @@ XOR, XNOR, NOT and (functional) MUX.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Container, Dict, Iterator, List, Optional, Tuple
 
 OPS = ("const0", "const1", "var", "not", "and", "or", "xor", "xnor", "mux")
 
@@ -83,8 +83,9 @@ class FTree:
             stack.extend(t.children)
         return out
 
-    def iter_nodes(self) -> Iterator["FTree"]:
-        """Every node, children before parents, each object once."""
+    def iter_nodes(self, stop: Container[int] = ()) -> Iterator["FTree"]:
+        """Every node, children before parents, each object once.  A node
+        whose ``id()`` is in ``stop`` is yielded without its children."""
         seen = set()
         stack: List[Tuple[FTree, bool]] = [(self, False)]
         while stack:
@@ -96,19 +97,26 @@ class FTree:
                 continue
             seen.add(id(t))
             stack.append((t, True))
-            for c in t.children:
-                stack.append((c, False))
+            if id(t) not in stop:
+                for c in t.children:
+                    stack.append((c, False))
 
     # -- semantics ---------------------------------------------------------
 
-    def to_bdd(self, mgr, var_map: Optional[Dict[int, int]] = None) -> int:
+    def to_bdd(self, mgr, var_map: Optional[Dict[int, int]] = None,
+               known: Optional[Dict[int, int]] = None) -> int:
         """Build the BDD of this tree in ``mgr``.
 
-        ``var_map`` optionally translates leaf variable ids.
+        ``var_map`` optionally translates leaf variable ids.  ``known``
+        maps the ``id()`` of subtrees whose BDD is already built to their
+        refs: the walk takes those refs and does not descend into them.
         """
+        known = known or {}
         memo: Dict[int, int] = {}
-        for t in self.iter_nodes():
-            if t.op == "const0":
+        for t in self.iter_nodes(stop=known):
+            if id(t) in known:
+                r = known[id(t)]
+            elif t.op == "const0":
                 r = 1
             elif t.op == "const1":
                 r = 0

@@ -127,13 +127,21 @@ class RegressionReport:
         return "\n".join(lines)
 
 
+#: Flow calls per circuit; the payload's ``cpu_s`` is their minimum, the
+#: least disturbed by whatever else the host runs.
+CALLS_PER_CIRCUIT = 3
+
+
 def collect_flow_payload(circuits: Optional[Tuple[str, ...]] = None,
                          options: Optional[Any] = None) -> Dict[str, Any]:
     """Run the BDS flow over ``circuits`` and collect the bench payload.
 
     CPU is measured with a monotonic timer around the optimization only
-    (mirrors the paper's CPU column); node/literal counts come from the
-    optimized network; counters are the flow's ``BDSResult.perf``.
+    (mirrors the paper's CPU column), as the minimum over
+    :data:`CALLS_PER_CIRCUIT` calls; node/literal counts come from the
+    optimized network; counters are the flow's ``BDSResult.perf``.  The
+    calls must agree on all of these except the time-valued counters
+    (``*_s``); a disagreement raises ``RuntimeError``.
     """
     from repro.bds.flow import BDSOptions, bds_optimize
     from repro.circuits import build_circuit
@@ -141,17 +149,32 @@ def collect_flow_payload(circuits: Optional[Tuple[str, ...]] = None,
     per_circuit: Dict[str, Dict[str, Any]] = {}
     for name in sorted(circuits or DEFAULT_BENCH_CIRCUITS):
         net = build_circuit(name)
-        t0 = time.perf_counter()
-        result = bds_optimize(net, options or BDSOptions())
-        cpu = time.perf_counter() - t0
-        stats = result.network.stats()
-        per_circuit[name] = {
-            "cpu_s": round(cpu, 6),
-            "nodes": stats["nodes"],
-            "literals": stats["literals"],
-            "counters": {k: result.perf[k] for k in sorted(result.perf)},
-        }
+        runs: List[Dict[str, Any]] = []
+        for _ in range(CALLS_PER_CIRCUIT):
+            t0 = time.perf_counter()
+            result = bds_optimize(net, options or BDSOptions())
+            cpu = time.perf_counter() - t0
+            stats = result.network.stats()
+            runs.append({
+                "cpu_s": round(cpu, 6),
+                "nodes": stats["nodes"],
+                "literals": stats["literals"],
+                "counters": {k: result.perf[k] for k in sorted(result.perf)},
+            })
+        if any(_work(run) != _work(runs[0]) for run in runs[1:]):
+            raise RuntimeError(
+                "%s: %d identical flow calls disagree on their work"
+                % (name, CALLS_PER_CIRCUIT))
+        per_circuit[name] = dict(runs[0], cpu_s=min(
+            run["cpu_s"] for run in runs))
     return {"schema": SCHEMA, "circuits": per_circuit}
+
+
+def _work(run: Dict[str, Any]) -> Dict[str, Any]:
+    """A payload entry without its timings: what must repeat exactly."""
+    return {"nodes": run["nodes"], "literals": run["literals"],
+            "counters": {k: v for k, v in run["counters"].items()
+                         if not k.endswith("_s")}}
 
 
 def load_baseline(path: str) -> Dict[str, Any]:

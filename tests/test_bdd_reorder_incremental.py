@@ -16,7 +16,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDD, transfer_many
+from repro.bdd import BDD, ONE, ZERO, transfer_many
 from repro.bdd.manager import DEAD
 from repro.bdd.reorder import (
     move_var_to_level,
@@ -162,22 +162,23 @@ class TestNoTraversalInSiftLoop:
 def _two_group_manager():
     """Vars from two disjoint supports, interleaved in the order.
 
-    Roots: a parity over the a-group and a conjunction over the b-group;
-    no variable of one group interacts with any of the other.
+    Roots: ``a0 a2 + a1 a3`` over the a-group, whose pairs the order
+    keeps apart (9 nodes where sifting finds 7), and a conjunction over
+    the b-group; no variable of one group interacts with any of the
+    other.
     """
     mgr = BDD()
-    a = [mgr.new_var("a%d" % i) for i in range(3)]
+    a = [mgr.new_var("a%d" % i) for i in range(4)]
     b = [mgr.new_var("b%d" % i) for i in range(3)]
-    # Interleave the groups in the level order: a0 b0 a1 b1 a2 b2.
-    for i, var in enumerate([a[0], b[0], a[1], b[1], a[2], b[2]]):
+    # Interleave the groups in the level order: a0 b0 a1 b1 a2 b2 a3.
+    for i, var in enumerate([a[0], b[0], a[1], b[1], a[2], b[2], a[3]]):
         move_var_to_level(mgr, var, i)
-    parity = mgr.var_ref(a[0])
-    for v in a[1:]:
-        parity = mgr.xor_(parity, mgr.var_ref(v))
+    pairs = mgr.or_(mgr.and_(mgr.var_ref(a[0]), mgr.var_ref(a[2])),
+                    mgr.and_(mgr.var_ref(a[1]), mgr.var_ref(a[3])))
     conj = mgr.var_ref(b[0])
     for v in b[1:]:
         conj = mgr.and_(conj, mgr.var_ref(v))
-    return mgr, a + b, [parity, conj]
+    return mgr, a + b, [pairs, conj]
 
 
 class TestInteractionMatrix:
@@ -190,7 +191,7 @@ class TestInteractionMatrix:
         size = sift(mgr, roots)
         assert mgr.perf.reorder_swaps_skipped > 0
         assert [_truth_table(mgr, r, variables) for r in roots] == tables
-        assert size == mgr.num_nodes_live
+        assert size == mgr.num_nodes_live == 7
 
     def test_same_result_without_matrix(self):
         mgr1, _, roots1 = _two_group_manager()
@@ -228,6 +229,51 @@ class TestLowerBoundPruning:
         assert sizes[0] == sizes[1]
         assert orders[0] == orders[1]
         assert swaps[0] <= swaps[1], "pruning may only reduce swaps"
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.booleans())
+    def test_prune_parity_on_minimal_bdds(self, seed, direct):
+        """A read-once chain along the order has one node per variable,
+        the fewest any order can give: pruned sifting makes no swap and
+        ends where unpruned sifting ends."""
+        orders, sizes, swaps, sweeps = [], [], [], []
+        for prune in (True, False):
+            rng = random.Random(seed)
+            mgr = BDD()
+            for _ in range(6):
+                mgr.new_var()
+            random_order(mgr, rng)
+            root = _read_once_chain(mgr, rng, direct)
+            before = mgr.perf.reorder_swaps
+            sizes.append(sift(mgr, [root], prune=prune))
+            orders.append(list(mgr._level2var))
+            swaps.append(mgr.perf.reorder_swaps - before)
+            sweeps.append(mgr.perf.gc_sweeps)
+        assert sizes[0] == sizes[1] == 6
+        assert orders[0] == orders[1]
+        assert swaps[0] == 0
+        # One node per allocated variable: no session, so no sweep.
+        assert sweeps == [0 if direct else 1, 1]
+
+
+def _read_once_chain(mgr, rng, direct):
+    """``l0 op (l1 op (... l5))`` with literals taken down the level
+    order, random operators and random polarities.  ``direct`` builds
+    each node with ``mk``, so every variable labels exactly one allocated
+    node; otherwise the operators leave the literal nodes as garbage."""
+    order = mgr.current_order()
+    f = mgr.var_ref(order[-1]) ^ rng.getrandbits(1)
+    for var in reversed(order[:-1]):
+        op = rng.choice(["and", "or", "xor"])
+        negative = rng.getrandbits(1)
+        if direct:
+            lo, hi = {"and": (ZERO, f), "or": (f, ONE),
+                      "xor": (f, f ^ 1)}[op]
+            f = mgr.mk(var, hi, lo) if negative else mgr.mk(var, lo, hi)
+        else:
+            literal = mgr.var_ref(var) ^ negative
+            f = getattr(mgr, op + "_")(literal, f)
+    return f
 
 
 class TestAutoreorder:

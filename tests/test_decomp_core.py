@@ -410,6 +410,27 @@ class TestEngine:
         assert stats.total() >= 0
         assert isinstance(stats.as_dict(), dict)
 
+    @pytest.mark.parametrize("wrong", ["mux", "op2"])
+    def test_wrong_tree_construction_still_raises(self, mgr, monkeypatch,
+                                                   wrong):
+        # Each level rebuilds only its own operators on its children's
+        # checked refs; a wrong operator below the top still fails there.
+        from repro.decomp import engine
+
+        if wrong == "mux":
+            monkeypatch.setattr(engine, "mux",
+                                lambda sel, hi, lo: mux(sel, lo, hi))
+        else:
+            swapped = {"and": "or", "or": "and"}
+            monkeypatch.setattr(engine, "op2", lambda op, a, b: op2(
+                swapped.get(op, op), a, b))
+        a, b, c, d = (mgr.var_ref(mgr.new_var(n)) for n in "abcd")
+        # d AND a multiplexer: the multiplexer is a level below the top.
+        f = mgr.and_(d, mgr.ite(a, b, c))
+        with pytest.raises(AssertionError,
+                           match="decomposition verification failed"):
+            decompose(mgr, f)
+
     def test_paper_example_quasi_algebraic(self, mgr):
         # Section III-B closing example: F = (ab + c)(ad + c) is found even
         # with the interleaved optimal order a, b, c?, d.

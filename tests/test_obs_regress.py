@@ -182,6 +182,37 @@ class TestCollectAndCli:
         # Fresh payloads satisfy their own monotonicity rules.
         assert compare_payloads(payload, payload).exit_code() == 0
 
+    def test_cpu_is_the_minimum_of_three_calls(self, monkeypatch):
+        from repro.obs import regress
+
+        ticks = iter([0.0, 0.3, 1.0, 1.1, 2.0, 2.2])
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                return next(ticks)
+
+        monkeypatch.setattr(regress, "time", Clock)
+        payload = collect_flow_payload(("rl_mux",))
+        assert payload["circuits"]["rl_mux"]["cpu_s"] == pytest.approx(0.1)
+
+    def test_calls_that_disagree_on_their_work_raise(self, monkeypatch):
+        from repro.bds import flow
+
+        calls = []
+        optimize = flow.bds_optimize
+
+        def drifting(net, options=None):
+            result = optimize(net, options)
+            result.perf["ite_calls"] += len(calls)
+            calls.append(net.name)
+            return result
+
+        monkeypatch.setattr(flow, "bds_optimize", drifting)
+        with pytest.raises(RuntimeError, match="rl_mux"):
+            collect_flow_payload(("rl_mux",))
+        assert len(calls) == 3
+
     def test_default_circuit_set_is_stable(self):
         assert DEFAULT_BENCH_CIRCUITS == ("C432", "C499", "C880", "C1908",
                                           "add8", "rl_mux")

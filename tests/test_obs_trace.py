@@ -157,8 +157,8 @@ class TestFlowIntegration:
         assert set(agg) <= set(totals) | {k for k in agg if agg[k] == 0}
 
     @pytest.mark.parametrize("circuit, eliminate, decompose", [
-        ("C432", 3713, 681),
-        ("C499", 14070, 8310),
+        ("C432", 3713, 190),
+        ("C499", 14070, 2135),
     ])
     def test_phase_ite_calls_are_pinned(self, circuit, eliminate, decompose):
         """The kernel work of the two phases that make most of it, exact.
@@ -166,8 +166,12 @@ class TestFlowIntegration:
         Eliminate's trial compositions go through two cofactors and one
         ITE, and the generalized-dominator search skips the RESTRICT of
         every divisor that cannot win (C432 read 5,853 and 5,516 before
-        either, C499 30,615 and 22,364).  A change here is a change in
-        the work the flow does: say why, then update the pins.
+        either, C499 30,615 and 22,364).  Decompose then works only on
+        the first supernode of each distinct BDD (14 of C432's 59, 18 of
+        C499's 48), and checks each decomposition level against its
+        children's checked refs instead of rebuilding the whole subtree
+        (681 and 8,310 before).  A change here is a change in the work
+        the flow does: say why, then update the pins.
         """
         result = bds_optimize(build_circuit(circuit), tracer=Tracer())
         work = {span.name: span.counters.get("ite_calls", 0)

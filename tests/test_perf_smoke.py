@@ -41,24 +41,36 @@ def test_flow_kernel_health_on_c880():
 
 
 def test_reorder_swap_budget_on_c1355():
-    """Counter-based (deterministic) budget on the sifting engine.
-
-    The flow's per-supernode sifts on C1355 take ~5.7k adjacent swaps
-    with lower-bound pruning in place; losing the prune (or regressing to
-    full per-variable sweeps) multiplies that by 3-4x.  Counters, not
-    wall-clock, so the budget is machine-independent.
-    """
+    """C1355's supernode BDDs already have one node per variable, the
+    fewest any order can give, so every sift stops before its first
+    swap (5,700 swaps before the stop).  Counters, not wall-clock."""
     net = build_circuit("C1355")
     result = bds_optimize(net, BDSOptions())
     perf = result.perf
     assert perf["reorder_passes"] > 0
-    assert perf["reorder_swaps"] <= 8000, (
+    assert perf["reorder_swaps"] == 0
+
+
+@pytest.mark.parametrize("circuit, budget", [("C7552", 1000), ("pair", 250)])
+def test_reorder_swap_budget(circuit, budget):
+    """Counter-based (deterministic) budget on the sifting engine.
+
+    The flow's per-supernode sifts take 690 adjacent swaps on C7552 and
+    159 on pair with lower-bound pruning in place; without it they take
+    3,666 and 1,015.  Counters, not wall-clock, so the budget is
+    machine-independent.
+    """
+    net = build_circuit(circuit)
+    result = bds_optimize(net, BDSOptions())
+    perf = result.perf
+    assert perf["reorder_passes"] > 0
+    assert 0 < perf["reorder_swaps"] <= budget, (
         "sifting swap budget blown: %d swaps (pruning regression?)"
         % perf["reorder_swaps"])
     # The incremental engine never re-traverses from the roots to measure
-    # size: the only full traversals are the decompose entry counts, one
-    # per decomposition pass -- nowhere near one per swap.
-    assert perf["live_traversals"] < perf["reorder_swaps"] / 10
+    # size: the only full traversals are the decompose entry counts, at
+    # most one per supernode -- nowhere near one per swap.
+    assert perf["live_traversals"] <= result.supernodes
 
 
 def test_gc_reclaims_during_eliminate():
