@@ -28,9 +28,10 @@ Subpackages
 
 import sys
 
-# The ITE hot path is iterative (explicit stack) and needs no headroom,
-# but other kernel recursions (cofactor, quantification, isop, traversals)
-# still descend one level per variable; keep room for deep orders.
+# The ITE hot path and the cofactor walk are iterative (explicit stack)
+# and need no headroom, but other kernel recursions (quantification,
+# isop, traversals) still descend one level per variable; keep room for
+# deep orders.
 if sys.getrecursionlimit() < 100000:
     sys.setrecursionlimit(100000)
 

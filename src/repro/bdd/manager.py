@@ -25,7 +25,7 @@ Kernel memory model (see ``docs/PERFORMANCE.md``):
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence, Tuple, overload)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> perf only)
     from repro.obs.trace import Tracer
@@ -53,13 +53,12 @@ ONE = 0
 ZERO = 1
 
 #: For each computed-table key tag, the tuple positions holding BDD refs.
-#: Tags: 0=ite, 1=cofactor, 3=vector_compose, 4=exists, 5=restrict,
-#: 6=constrain, 7=and_exists (see the respective modules; ``compose``
-#: caches through its cofactors and ITE).
+#: Tags: 0=ite, 3=vector_compose, 4=exists, 5=restrict, 6=constrain,
+#: 7=and_exists (see the respective modules; ``compose`` caches through
+#: its ITE only: the cofactor walk memoizes per call).
 #: ``repro.check.bdd_sanitizer`` audits cache hygiene against this map.
 CACHE_TAG_REF_POSITIONS: Dict[int, Tuple[int, ...]] = {
     0: (1, 2, 3),
-    1: (1,),
     3: (1,),
     4: (1,),
     5: (1, 2),
@@ -607,39 +606,93 @@ class BDD:
     # Cofactors, composition, quantification
     # ------------------------------------------------------------------
 
+    def cofactors(self, f: int, var: int) -> Tuple[int, int]:
+        """Both Shannon cofactors ``(f|var=0, f|var=1)`` from one walk.
+
+        The walk rebuilds each node above ``var``'s level once, with one
+        ``mk`` per cofactor, and stops at the nodes at or below that
+        level.  It runs on an explicit stack (no Python frame per BDD
+        level) and memoizes per call, not in the computed table.
+        """
+        lv = self._var2level[var]
+        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
+        var2level = self._var2level
+        mk = self.mk
+        # Regular node index -> the two cofactors of its regular node.
+        memo: Dict[int, Tuple[int, int]] = {}
+        stack = [f]
+        while stack:
+            ref = stack[-1]
+            idx = ref >> 1
+            if idx in memo:
+                stack.pop()
+                continue
+            v = var_arr[idx]
+            if idx == 0 or var2level[v] > lv:
+                memo[idx] = (idx << 1, idx << 1)
+                stack.pop()
+                continue
+            lo, hi = lo_arr[idx], hi_arr[idx]
+            if v == var:
+                memo[idx] = (lo, hi)
+                stack.pop()
+                continue
+            # Stored then-edges are regular, so only lo carries a phase.
+            lo_pair = memo.get(lo >> 1)
+            if lo_pair is None:
+                stack.append(lo)
+                continue
+            hi_pair = memo.get(hi >> 1)
+            if hi_pair is None:
+                stack.append(hi)
+                continue
+            stack.pop()
+            p = lo & 1
+            memo[idx] = (mk(v, lo_pair[0] ^ p, hi_pair[0]),
+                         mk(v, lo_pair[1] ^ p, hi_pair[1]))
+        f0, f1 = memo[f >> 1]
+        return f0 ^ (f & 1), f1 ^ (f & 1)
+
     def cofactor(self, f: int, var: int, value: bool) -> int:
         """Shannon cofactor of ``f`` with respect to ``var = value``."""
-        key = (1, f, var, value)
-        cached = self._cache.lookup(key)
-        if cached is not None:
-            return cached
-        lv = self._var2level[var]
-        lf = self.level(f)
-        if lf > lv:
-            r = f
-        elif lf == lv:
-            lo, hi = self.children(f)
-            r = hi if value else lo
-        else:
-            lo, hi = self.children(f)
-            fvar = self.var_of(f)
-            r = self.mk(
-                fvar,
-                self.cofactor(lo, var, value),
-                self.cofactor(hi, var, value),
-            )
-        self._cache.insert(key, r)
-        return r
+        f0, f1 = self.cofactors(f, var)
+        return f1 if value else f0
 
-    def compose(self, f: int, var: int, g: int) -> int:
+    @overload
+    def compose(self, f: int, var: int, g: int) -> int: ...
+
+    @overload
+    def compose(self, f: int, var: int, g: int,
+                bound: Optional[int]) -> Optional[int]: ...
+
+    def compose(self, f: int, var: int, g: int,
+                bound: Optional[int] = None) -> Optional[int]:
         """Substitute function ``g`` for variable ``var`` in ``f``.
 
-        ``f[var := g] == ite(g, f|var=1, f|var=0)``: the two cofactors
-        rebuild only the nodes above ``var`` with ``mk``, and one ITE
-        merges them under ``g``.
+        ``f[var := g] == ite(g, f|var=1, f|var=0)``: one walk rebuilds
+        the nodes above ``var`` into both cofactors, and one ITE merges
+        them under ``g``.
+
+        With ``bound`` set, the ITE may allocate at most ``bound`` fresh
+        nodes and the call returns None past that.  Every node one ITE
+        allocates is reachable from its result, so None means the result
+        has more than ``bound`` nodes.  The cofactor walk is not bounded,
+        as its nodes need not be in the result.  An allocation limit the
+        caller set (:meth:`set_alloc_limit`) stays in force: when it is
+        the tighter one, it raises :class:`BddBudgetExceeded` as usual.
         """
-        return self.ite(g, self.cofactor(f, var, True),
-                        self.cofactor(f, var, False))
+        f0, f1 = self.cofactors(f, var)
+        outer = self._alloc_limit
+        if bound is None or (outer is not None and
+                             outer <= self.perf.nodes_allocated + bound):
+            return self.ite(g, f1, f0)
+        self._alloc_limit = self.perf.nodes_allocated + bound
+        try:
+            return self.ite(g, f1, f0)
+        except BddBudgetExceeded:
+            return None
+        finally:
+            self._alloc_limit = outer
 
     def vector_compose(self, f: int, subst: Dict[int, int]) -> int:
         """Simultaneously substitute ``subst[var]`` for each variable."""

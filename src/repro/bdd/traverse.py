@@ -16,6 +16,12 @@ from repro.bdd.manager import BDD, ONE, ZERO
 
 def support(mgr: BDD, ref: int) -> Set[int]:
     """Set of variables the function depends on."""
+    return support_and_size(mgr, ref)[0]
+
+
+def support_and_size(mgr: BDD, ref: int) -> Tuple[Set[int], int]:
+    """The support of ``ref`` and its node count (excluding the terminal,
+    as :func:`node_count`), from one walk."""
     seen: Set[int] = set()
     out: Set[int] = set()
     stack = [ref >> 1]
@@ -27,7 +33,7 @@ def support(mgr: BDD, ref: int) -> Set[int]:
         out.add(mgr._var[idx])
         stack.append(mgr._lo[idx] >> 1)
         stack.append(mgr._hi[idx] >> 1)
-    return out
+    return out, len(seen)
 
 
 def support_many(mgr: BDD, refs: Iterable[int]) -> Set[int]:

@@ -221,7 +221,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
             sweep(work, merge_equivalent=opts.sweep_merge_equivalent)
             checker.check_network(work, "network after initial sweep")
 
-        with tr.span("flow.eliminate"):
+        with tr.span("flow.eliminate") as span:
             part = PartitionedNetwork.from_network(work)
             part.mgr.tracer = tr
             counters.live.append(part.perf_snapshot)
@@ -229,10 +229,10 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                 part.mgr.enable_autoreorder(opts.autoreorder,
                                             opts.autoreorder_method)
             checker.check_partition(part, "partition after construction")
-            part.eliminate(threshold=opts.eliminate_threshold,
-                           size_cap=opts.eliminate_size_cap,
-                           use_mapping=opts.use_bdd_mapping,
-                           checker=checker)
+            span.attrs.update(part.eliminate(
+                threshold=opts.eliminate_threshold,
+                size_cap=opts.eliminate_size_cap,
+                use_mapping=opts.use_bdd_mapping, checker=checker))
             checker.check_partition(part, "partition after eliminate")
 
         with tr.span("flow.sdc"):

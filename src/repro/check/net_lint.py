@@ -16,7 +16,8 @@ states those assumptions as checks over both network representations:
   unrelated storage and silently denotes a different function) and (at
   ``full`` level) the partition's incremental fanout index: its cached
   fanins, consumer lists and used-signal count must equal a fresh
-  recompute from the BDD supports.
+  recompute from the BDD supports, and its cached BDD sizes a fresh
+  count.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ INV_ORPHAN_NODE = "orphan_node"
 INV_FOREIGN_REF = "foreign_bdd_ref"
 INV_SIG_VAR = "signal_variable_map"
 INV_FANOUT_INDEX = "fanout_index"
+INV_SIZE_CACHE = "node_size_cache"
 
 MAX_VIOLATIONS = 25
 
@@ -100,7 +102,7 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
         raise ValueError("lint level must be 'cheap' or 'full', got %r"
                          % (level,))
     from repro.bdd.manager import DEAD
-    from repro.bdd.traverse import support
+    from repro.bdd.traverse import support_and_size
 
     report = CheckReport(subject=subject, level=level)
     mgr = part.mgr
@@ -117,6 +119,7 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
         report.add(INV_SIG_VAR, "sig_var maps two signals to one manager"
                    " variable")
     fanin_graph: Dict[str, List[str]] = {}
+    sizes: Dict[str, int] = {}
     for name, ref in part.refs.items():
         if len(report.violations) >= MAX_VIOLATIONS:
             break
@@ -133,7 +136,8 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
                        "node %r has no manager variable in sig_var" % name,
                        signals=(name,))
         fanins: List[str] = []
-        for var in support(mgr, ref):
+        supp, sizes[name] = support_and_size(mgr, ref)
+        for var in supp:
             sig = var_owner.get(var, mgr.var_name(var))
             fanins.append(sig)
             if sig not in known:
@@ -148,6 +152,7 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
                    % " -> ".join(cycle + cycle[:1]), signals=tuple(cycle))
     if level == "full" and len(fanin_graph) == len(part.refs):
         _check_fanout_index(part, fanin_graph, report)
+        _check_sizes(part, sizes, report)
     report.stats["nodes"] = len(part.refs)
     report.stats["outputs"] = len(part.outputs)
     if report.violations and raise_on_violation:
@@ -251,6 +256,20 @@ def _check_fanout_index(part: "PartitionedNetwork",
                        "signal %r: fanout index lists %r but supports give"
                        " %r" % (sig, index.get(sig), fresh.get(sig)),
                        signals=(sig,))
+
+
+def _check_sizes(part: "PartitionedNetwork", sizes: Dict[str, int],
+                 report: CheckReport) -> None:
+    """The partition's cached BDD sizes equal a fresh count (``sizes``):
+    eliminate's trial bound trusts them."""
+    for name, size in sizes.items():
+        if len(report.violations) >= MAX_VIOLATIONS:
+            return
+        cached = part._sizes.get(name)
+        if cached != size:
+            report.add(INV_SIZE_CACHE,
+                       "node %r: cached BDD size %r but its BDD has %d"
+                       " nodes" % (name, cached, size), signals=(name,))
 
 
 def _check_orphans(net: "Network", report: CheckReport) -> None:

@@ -37,27 +37,20 @@ def _balance_chain(op: str, children: List[FTree]) -> FTree:
     """Rebuild one operator node, flattening same-op chains first."""
     base_op = "xor" if op == "xnor" else op
     operands: List[FTree] = []
-    inversions = 0
-
-    def flatten(t: FTree) -> None:
-        nonlocal inversions
+    inversions = 1 if op == "xnor" else 0
+    # Flatten depth first, children left to right: the Huffman combine
+    # below breaks ties by operand order.  The top of the stack is the
+    # next tree to visit.
+    stack = children[::-1]
+    while stack:
+        t = stack.pop()
         if t.op == base_op:
-            for c in t.children:
-                flatten(c)
-        elif base_op == "xor" and t.op == "xnor":
+            stack.extend(t.children[::-1])
+        elif base_op == "xor" and t.op in ("xnor", "not"):
             inversions += 1
-            for c in t.children:
-                flatten(c)
-        elif base_op == "xor" and t.op == "not":
-            inversions += 1
-            flatten(t.children[0])
+            stack.extend(t.children[::-1])
         else:
             operands.append(t)
-
-    for c in children:
-        flatten(c)
-    if op == "xnor":
-        inversions += 1
     if len(operands) == 1:
         out = operands[0]
     else:

@@ -226,7 +226,7 @@ def _build_global(mgr: BDD, net: Network, signal: str,
             continue
         built: Optional[int] = None
         if len(refs) == len(fanins):
-            built = _cover_bdd(mgr, node.cover, refs)
+            built = cover_bdd(mgr, node.cover, refs)
             if node_cap is not None and node_count(mgr, built) > node_cap:
                 built = None
         cache[name] = built
@@ -235,7 +235,7 @@ def _build_global(mgr: BDD, net: Network, signal: str,
             return built
 
 
-def _cover_bdd(mgr: BDD, cover: Cover, refs: List[int]) -> int:
+def cover_bdd(mgr: BDD, cover: Cover, refs: List[int]) -> int:
     """The BDD of a cube cover whose literal ``i`` reads ``refs[i]``."""
     acc = ZERO
     for cube in cover:

@@ -18,9 +18,10 @@ from __future__ import annotations
 from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.bdd import BDD, ONE, ZERO, transfer_many
+from repro.bdd import BDD, transfer_many
 from repro.bdd.isop import isop
-from repro.bdd.traverse import node_count, shared_node_count, support
+from repro.bdd.traverse import node_count, shared_node_count, support_and_size
+from repro.network.cones import cover_bdd
 from repro.network.network import Network, Node
 from repro.perf import merge_snapshots
 from repro.sop.cover import Cover, complement, remove_contained
@@ -165,7 +166,10 @@ class PartitionedNetwork:
         # manager's pollution after every collapse; the index answers both
         # without retraversing every live BDD.  Only signals with at least
         # one reader are keys, so len(_fanouts) is the used-signal count.
+        # _sizes holds each node's BDD size from the same walk, in the
+        # manager's current variable order.
         self._supports: Dict[str, Set[str]] = {}
+        self._sizes: Dict[str, int] = {}
         self._fanouts: Dict[str, List[str]] = {}
         self._rank: Dict[str, int] = {}  # position in refs, for ordering
         self._ranks = count()
@@ -182,13 +186,7 @@ class PartitionedNetwork:
             part.sig_var.setdefault(node.name, mgr.new_var(node.name))
         for node in net.topological():
             fanin_refs = [mgr.var_ref(part.sig_var[f]) for f in node.fanins]
-            acc = ZERO
-            for cube in node.cover:
-                term = ONE
-                for l in cube:
-                    term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
-                acc = mgr.or_(acc, term)
-            part.set_ref(node.name, acc)
+            part.set_ref(node.name, cover_bdd(mgr, node.cover, fanin_refs))
             # Safe GC point: every ref still needed is in part.refs (fanin
             # literal nodes are recreated on demand by var_ref).
             mgr.maybe_collect(part.refs.values())
@@ -200,13 +198,14 @@ class PartitionedNetwork:
         """Install ``ref`` as node ``name``'s local BDD.
 
         Every write to ``refs`` goes through here (or :meth:`_drop`), so
-        the support cache and the fanout index stay exact: only the
-        signals whose readership changed are touched.
+        the support and size caches and the fanout index stay exact: only
+        the signals whose readership changed are touched.
         """
         if name not in self.refs:
             self._rank[name] = next(self._ranks)
         old = self._supports.get(name, set())
-        new = {self.mgr.var_name(v) for v in support(self.mgr, ref)}
+        supp, self._sizes[name] = support_and_size(self.mgr, ref)
+        new = {self.mgr.var_name(v) for v in supp}
         self.refs[name] = ref
         self._supports[name] = new
         for sig in old - new:
@@ -222,6 +221,7 @@ class PartitionedNetwork:
     def _drop(self, name: str) -> None:
         """Delete node ``name`` and its entries in the index."""
         del self.refs[name]
+        del self._sizes[name]
         for sig in self._supports.pop(name):
             self._unread(sig, name)
 
@@ -254,12 +254,22 @@ class PartitionedNetwork:
             self._drop(n)
         return len(dead)
 
+    def _collect(self) -> None:
+        """GC safe point: ``refs`` is the complete live root set.  An
+        autoreorder that fires here changes BDD sizes, so they are
+        counted again."""
+        mgr = self.mgr
+        fired = mgr.perf.autoreorder_triggers
+        mgr.maybe_collect(self.refs.values())
+        if mgr.perf.autoreorder_triggers != fired:
+            self._sizes = {n: node_count(mgr, r) for n, r in self.refs.items()}
+
     # -- the eliminate loop ----------------------------------------------
 
     def eliminate(self, threshold: int = 0, size_cap: int = 1000,
                   use_mapping: bool = True, mapping_trigger: float = 0.5,
                   max_passes: int = 20,
-                  checker: Optional["Checker"] = None) -> None:
+                  checker: Optional["Checker"] = None) -> Dict[str, int]:
         """Iteratively collapse low-value nodes into their fanouts.
 
         A node is eliminated when the change in total BDD node count is at
@@ -270,8 +280,13 @@ class PartitionedNetwork:
         sanitizer at the loop's GC safe points: a quick per-collapse audit
         right after ``maybe_collect`` and a full partition lint at every
         pass boundary and after each BDD-mapping compaction.
+
+        Returns the loop's decision counts: ``trials`` (collapses tried),
+        ``collapsed``, ``rejected``, and ``stopped_early`` (rejections
+        made before a trial composition finished).
         """
-        mgr = self.mgr
+        counts = dict.fromkeys(
+            ("trials", "collapsed", "rejected", "stopped_early"), 0)
         for _ in range(max_passes):
             changed = False
             for name in list(self.refs):
@@ -282,38 +297,28 @@ class PartitionedNetwork:
                     self._drop(name)
                     changed = True
                     continue
-                var = self.sig_var[name]
-                node_ref = self.refs[name]
-                node_size = node_count(mgr, node_ref)
-                new_refs: Dict[str, int] = {}
-                delta = -node_size
-                too_big = False
-                for c in consumers:
-                    merged = mgr.compose(self.refs[c], var, node_ref)
-                    msize = node_count(mgr, merged)
-                    if msize > size_cap:
-                        too_big = True
-                        break
-                    delta += msize - node_count(mgr, self.refs[c])
-                    new_refs[c] = merged
-                if too_big or delta > threshold:
+                counts["trials"] += 1
+                merged = self._trial_collapse(name, consumers, threshold,
+                                              size_cap, counts)
+                if merged is None:
+                    counts["rejected"] += 1
                     # The trial compositions are garbage now; reap them if
                     # the manager has grown past the trigger.
-                    mgr.maybe_collect(self.refs.values())
+                    self._collect()
                     continue
-                for c, merged in new_refs.items():
-                    self.set_ref(c, merged)
+                counts["collapsed"] += 1
+                for c, ref in merged.items():
+                    self.set_ref(c, ref)
                 self._drop(name)
                 changed = True
                 # Dead-node sweep at a safe point: the collapse is merged,
                 # so self.refs is the complete live root set.
-                mgr.maybe_collect(self.refs.values())
+                self._collect()
                 if checker is not None:
                     checker.check_partition(self, "eliminate collapse",
                                             quick=True)
                 if use_mapping and self._pollution() > mapping_trigger:
                     self.compact()
-                    mgr = self.mgr
                     if checker is not None:
                         checker.check_partition(self, "after BDD mapping",
                                                 quick=True)
@@ -324,6 +329,44 @@ class PartitionedNetwork:
         self.remove_dangling()
         if use_mapping:
             self.compact()
+        return counts
+
+    def _trial_collapse(self, name: str, consumers: List[str],
+                        threshold: int, size_cap: int,
+                        counts: Dict[str, int]) -> Optional[Dict[str, int]]:
+        """Node ``name`` composed into each of its ``consumers``, or None
+        when eliminate rejects the collapse.
+
+        The collapse is accepted iff every merged BDD has at most
+        ``size_cap`` nodes and their sizes sum to at most the *slack*
+        ``threshold + |name| + sum of |consumer|`` -- the node count then
+        grows by at most ``threshold``.  Sizes are never negative, so
+        each consumer's ITE may allocate at most the slack left (and at
+        most ``size_cap``) fresh nodes; a composition that reaches that
+        bound rejects the collapse before the remaining consumers are
+        composed (``docs/THEORY.md``, "Why stopping a trial collapse
+        early is exact").
+        """
+        mgr = self.mgr
+        var = self.sig_var[name]
+        node_ref = self.refs[name]
+        sizes = self._sizes
+        slack = threshold + sizes[name] + sum(sizes[c] for c in consumers)
+        if slack < 0:
+            return None
+        merged: Dict[str, int] = {}
+        for c in consumers:
+            ref = mgr.compose(self.refs[c], var, node_ref,
+                              bound=min(slack, size_cap))
+            if ref is None:
+                counts["stopped_early"] += 1
+                return None
+            size = node_count(mgr, ref)
+            if size > size_cap or size > slack:
+                return None
+            slack -= size
+            merged[c] = ref
+        return merged
 
     def _pollution(self) -> float:
         """Fraction of manager variables that no live BDD uses."""

@@ -1,15 +1,36 @@
 """Tests for factoring-tree balancing (Section VI item 3 extension)."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from repro.bds import BDSOptions, bds_optimize
+from repro.circuits import build_circuit
 from repro.decomp.balance import balance_forest, balance_tree
 from repro.decomp.ftree import mux, negate, op2, var_leaf
-from repro.network import Network
+from repro.network import Network, write_blif
 from repro.verify import check_equivalence
+
+#: sha256 of each Table I circuit's optimized BLIF with
+#: ``balance_trees=True``.  Huffman ties follow the order in which a
+#: chain's operands are flattened, so these fix that order too.
+BALANCED_TABLE1_SHA256 = {
+    "C432": "e2baf0ec34ce1033a0f6a606e2c9e06f878ffbb485ba350077ba43d371ebc7f5",
+    "C499": "d0ec0bfbe88a36b68926d22a3ea6a7027b815ffff11bbd0c0318c50c604bb907",
+    "C880": "cd8dbe79c380a4716b4e802c6d7c0bb812ac9da0ed34eef8f332270a14101e9a",
+    "C1355": "b72fe6c9b7ddeedadee95efc6b65419cb3fea0d7e85830f4319ba106bfff88fa",
+    "C1908": "6f099c86205768167e094a6d5a188586a01f350646307ed40b8637d90c23420f",
+    "C3540": "1c63aeaea3ce5e0f7e245c7546d25d6174499d67761997ec74867161c07f0d10",
+    "C5315": "41a889cf8b7a8f3e507d0a960c5b1c00dc0573ee82806a3c547178acdf77a548",
+    "C6288": "447d6375c6966fe8f55f9eb28d3fa29f3b31503bd119c2061a00f422275f66ad",
+    "C7552": "c90222d1ade1b8e9af512bc2653c31af4c8314df45da1850267fed94039de723",
+    "pair": "de0f8e7f0fa881bb9c9227487ebe97350191cdceb6da1a7b75b3243221d658ee",
+    "rot": "b4d64810bc85d83b7f8b213304dfa873cc18001d775c99788520fa33a644ca46",
+    "dalu": "639f56781248f8c5faa524d516f13e2c75167f3b31d9449b3d7006de1a7705f8",
+    "vda": "fb0799b70c0c64ce1f243cba952cbffed84f5ccd0d546628f42a2552d3fc06f5",
+}
 
 
 def chain(op, names):
@@ -93,6 +114,14 @@ class TestBalanceInFlow:
         assert check_equivalence(net, plain.network).equivalent
         assert check_equivalence(net, balanced.network).equivalent
         assert balanced.network.depth() <= plain.network.depth()
+
+    @pytest.mark.parametrize("circuit", sorted(BALANCED_TABLE1_SHA256))
+    def test_balanced_table1_bytes_are_pinned(self, circuit):
+        result = bds_optimize(build_circuit(circuit),
+                              BDSOptions(balance_trees=True))
+        text = write_blif(result.network)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            BALANCED_TABLE1_SHA256[circuit]
 
 
 def _random_tree(rng, names, depth):

@@ -12,6 +12,7 @@ from repro.check.net_lint import (
     INV_FANOUT_INDEX,
     INV_FOREIGN_REF,
     INV_ORPHAN_NODE,
+    INV_SIZE_CACHE,
     INV_UNDRIVEN_OUTPUT,
     lint_network,
     lint_partition,
@@ -130,6 +131,18 @@ def test_partition_lint_fanout_index_full_level():
     report = lint_partition(part, raise_on_violation=False)
     assert report.invariants() == [INV_FANOUT_INDEX]
     assert "t" in {s for v in report.violations for s in v.signals}
+
+
+def test_partition_lint_size_cache_full_level():
+    part = PartitionedNetwork.from_network(parse_blif(GOOD))
+    part._sizes["t"] += 1  # eliminate's trial bound would trust it
+    assert INV_SIZE_CACHE not in lint_partition(
+        part, level="cheap", raise_on_violation=False).invariants()
+    with pytest.raises(CheckError) as exc:
+        lint_partition(part)
+    assert exc.value.report.invariants() == [INV_SIZE_CACHE]
+    assert "t" in {s for v in exc.value.report.violations
+                   for s in v.signals}
 
 
 # ----------------------------------------------------------------------

@@ -117,23 +117,25 @@ class TestReuse:
         # The memo holds factoring trees over variable ids and no
         # manager; everything dies with the call, by reference counting
         # alone (TestManagerLifetime in test_bds_flow.py counts the
-        # managers).
+        # managers).  Balancing flattens its chains on an explicit stack,
+        # so it leaves no reference cycle either.
         def trees():
             return sum(isinstance(obj, FTree) for obj in gc.get_objects())
 
         net = build_circuit("C6288")
-        was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            before = trees()
-            result = bds_optimize(net, BDSOptions())
-            del result
-            after = trees()
-        finally:
-            if was_enabled:
-                gc.enable()
-        assert after == before
+        for options in (BDSOptions(), BDSOptions(balance_trees=True)):
+            was_enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                before = trees()
+                result = bds_optimize(net, options)
+                del result
+                after = trees()
+            finally:
+                if was_enabled:
+                    gc.enable()
+            assert after == before, options
 
     def test_the_key_is_the_transferred_manager(self):
         # structure_key is exactly the arrays transfer_many builds.

@@ -157,8 +157,8 @@ class TestFlowIntegration:
         assert set(agg) <= set(totals) | {k for k in agg if agg[k] == 0}
 
     @pytest.mark.parametrize("circuit, eliminate, decompose", [
-        ("C432", 3713, 190),
-        ("C499", 14070, 2135),
+        ("C432", 3384, 190),
+        ("C499", 6939, 2135),
     ])
     def test_phase_ite_calls_are_pinned(self, circuit, eliminate, decompose):
         """The kernel work of the two phases that make most of it, exact.
@@ -170,14 +170,26 @@ class TestFlowIntegration:
         the first supernode of each distinct BDD (14 of C432's 59, 18 of
         C499's 48), and checks each decomposition level against its
         children's checked refs instead of rebuilding the whole subtree
-        (681 and 8,310 before).  A change here is a change in the work
-        the flow does: say why, then update the pins.
+        (681 and 8,310 before).  Each trial ITE of eliminate runs under
+        the slack its collapse has left, and stops once the collapse is
+        sure to be rejected (3,713 and 14,070 before).  A change here is
+        a change in the work the flow does: say why, then update the
+        pins.
         """
         result = bds_optimize(build_circuit(circuit), tracer=Tracer())
         work = {span.name: span.counters.get("ite_calls", 0)
                 for span in result.trace.children}
         assert work["flow.eliminate"] == eliminate
         assert work["flow.decompose"] == decompose
+
+    def test_eliminate_decisions_are_pinned(self):
+        # Span attributes, not counters: BDSResult.perf does not carry
+        # them.  26 of the 157 rejections stop inside a trial ITE.
+        result = bds_optimize(build_circuit("C432"))
+        [span] = [s for s in result.trace.children
+                  if s.name == "flow.eliminate"]
+        assert span.attrs == {"trials": 232, "collapsed": 75,
+                              "rejected": 157, "stopped_early": 26}
 
     def test_tracing_does_not_change_the_network(self):
         net = build_circuit("C432")

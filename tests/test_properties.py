@@ -114,6 +114,22 @@ def test_shannon_reconstruction(e):
 
 
 @settings(max_examples=100, deadline=None)
+@given(expr_strategy(), st.integers(0, NVARS - 1),
+       st.randoms(use_true_random=False))
+def test_cofactors_equal_the_single_cofactors(e, x, rnd):
+    """One walk gives both cofactors: each equals the single cofactor and
+    the constant put in for x, under any variable order."""
+    mgr, variables = _fresh()
+    f = build_bdd(mgr, variables, e)
+    random_order(mgr, rnd)
+    v = variables[x]
+    f0, f1 = mgr.cofactors(f, v)
+    assert (f0, f1) == (mgr.cofactor(f, v, False), mgr.cofactor(f, v, True))
+    assert f0 == mgr.vector_compose(f, {v: ZERO})
+    assert f1 == mgr.vector_compose(f, {v: ONE})
+
+
+@settings(max_examples=100, deadline=None)
 @given(expr_strategy(), expr_strategy(), st.integers(0, NVARS - 1),
        st.randoms(use_true_random=False))
 # g reads x itself and x0, a variable above x.
