@@ -205,13 +205,11 @@ class BDD:
         # Active reorder session: (pinned roots, interaction masks or None).
         self._reorder_session: Optional[
             Tuple[List[int], Optional[List[int]]]] = None
-        # Growth-triggered dynamic reordering (enable_autoreorder): mk sets
-        # the pending flag when the live count crosses the threshold; the
-        # reorder itself runs at the next maybe_collect safe point, where
-        # the caller has declared the full root set.
+        # Growth-triggered dynamic reordering (enable_autoreorder): decided
+        # and run at a maybe_collect safe point, where the caller has
+        # declared the full root set.
         self._autoreorder_threshold: Optional[int] = None
         self._autoreorder_method: str = "sift"
-        self._reorder_pending = False
         self.perf = PerfCounters()
         # Optional repro.obs tracer: when set by a flow, kernel safe
         # points (GC sweeps, autoreorder firings) open sub-spans.  None
@@ -373,11 +371,6 @@ class BDD:
             ref_arr[lo >> 1] += 1
             ref_arr[hi >> 1] += 1
             self._var_counts[var] += 1
-            if (self._autoreorder_threshold is not None
-                    and not self._reorder_pending
-                    and (len(self._var) - 1 - len(self._free)
-                         >= self._autoreorder_threshold)):
-                self._reorder_pending = True
         return idx << 1
 
     def var_ref(self, var: int) -> int:
@@ -863,21 +856,31 @@ class BDD:
         """Auto-GC trigger: sweep when the manager has grown past the
         adaptive threshold *and* the dead-node ratio makes it worthwhile.
 
+        Armed autoreorder (:meth:`enable_autoreorder`) is decided here
+        too: once the allocated count reaches its threshold, garbage is
+        collected first, and the reorder fires only if the live count
+        still reaches it -- garbage alone never fires one.
+
         Callers must pass every ref they still need (beyond registered
         roots) -- only call this at points where the full root set is known.
         Returns the number of nodes reclaimed (0 when no sweep ran).
         """
-        active = len(self._var) - 1 - len(self._free)
+        active = self.num_nodes_live
+        swept = active >= self._gc_trigger
         purged = 0
-        if active >= self._gc_trigger:
-            before = active
+        if swept:
             purged = self.collect_garbage(extra_roots)
-            if before and purged / before < self.gc_dead_ratio:
+            if active and purged / active < self.gc_dead_ratio:
                 # Mostly-live manager: back off, don't thrash on marking.
                 self._gc_trigger = max(self._gc_trigger,
-                                       2 * (before - purged))
-        if self._reorder_pending:
-            self._fire_autoreorder(extra_roots)
+                                       2 * (active - purged))
+        threshold = self._autoreorder_threshold
+        if (threshold is not None and self._reorder_session is None
+                and self.num_nodes_live >= threshold):
+            if not swept:
+                purged += self.collect_garbage(extra_roots)
+            if self.num_nodes_live >= threshold:
+                self._fire_autoreorder(threshold, extra_roots)
         return purged
 
     # ------------------------------------------------------------------
@@ -960,7 +963,6 @@ class BDD:
 
     def disable_autoreorder(self) -> None:
         self._autoreorder_threshold = None
-        self._reorder_pending = False
 
     @property
     def autoreorder(self) -> Optional[Tuple[int, str]]:
@@ -971,14 +973,10 @@ class BDD:
             return None
         return (self._autoreorder_threshold, self._autoreorder_method)
 
-    def _fire_autoreorder(self, extra_roots: Sequence[int]) -> None:
-        """Run the armed reorder method at a safe point (maybe_collect)."""
-        self._reorder_pending = False
-        threshold = self._autoreorder_threshold
-        if threshold is None or self._reorder_session is not None:
-            return
-        if self.num_nodes_live < threshold:
-            return
+    def _fire_autoreorder(self, threshold: int,
+                          extra_roots: Sequence[int]) -> None:
+        """Run the armed reorder method (from :meth:`maybe_collect`), then
+        raise the threshold to twice the live size it leaves."""
         from repro.bdd.reorder import AUTOREORDER_METHODS
 
         self.perf.autoreorder_triggers += 1

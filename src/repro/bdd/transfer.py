@@ -35,7 +35,7 @@ def transfer(src: BDD, dst: BDD, ref: int,
                 var_map[var] = dst.new_var(name)
     memo: Dict[int, int] = {0: ONE} if _memo is None else _memo
     order_ok = _is_order_preserving(src, dst, var_map)
-    return _transfer_rec(src, dst, ref, var_map, memo, order_ok)
+    return _transfer_walk(src, dst, ref, var_map, memo, order_ok)
 
 
 def transfer_many(src: BDD, refs: Sequence[int],
@@ -63,7 +63,8 @@ def transfer_many(src: BDD, refs: Sequence[int],
                 raise ValueError("explicit var_map must target a prepared manager")
     memo: Dict[int, int] = {0: ONE}
     order_ok = _is_order_preserving(src, dst, var_map)
-    new_refs = [_transfer_rec(src, dst, r, var_map, memo, order_ok) for r in refs]
+    new_refs = [_transfer_walk(src, dst, r, var_map, memo, order_ok)
+                for r in refs]
     return TransferResult(dst, new_refs, var_map)
 
 
@@ -74,7 +75,7 @@ def structure_key(src: BDD, ref: int) -> Tuple[Tuple[int, ...], List[int]]:
     level first: the fresh manager's variable ``i`` is ``order[i]``, at
     level ``i``.  ``key`` is the new root ref followed by the fresh
     manager's node arrays, one ``(var, lo, hi)`` triple per node in
-    allocation order.  The walk visits nodes in :func:`_transfer_rec`'s
+    allocation order.  The walk visits nodes in :func:`_transfer_walk`'s
     order, else child before then child.  Two refs share a key exactly
     when their transfers give managers that differ only in variable
     names.
@@ -124,21 +125,40 @@ def _is_order_preserving(src: BDD, dst: BDD, var_map: Dict[int, int]) -> bool:
     return all(a < b for a, b in zip(dst_levels, dst_levels[1:]))
 
 
-def _transfer_rec(src: BDD, dst: BDD, ref: int, var_map: Dict[int, int],
-                  memo: Dict[int, int], ordered: bool) -> int:
-    idx, phase = ref >> 1, ref & 1
-    if idx in memo:
-        return memo[idx] ^ phase
-    var, lo, hi = src._var[idx], src._lo[idx], src._hi[idx]
-    new_lo = _transfer_rec(src, dst, lo, var_map, memo, ordered)
-    new_hi = _transfer_rec(src, dst, hi, var_map, memo, ordered)
-    if ordered:
-        out = dst.mk(var_map[var], new_lo, new_hi)
-    else:
-        # Destination order differs: rebuild through ITE, which re-orders.
-        out = dst.ite(dst.var_ref(var_map[var]), new_hi, new_lo)
-    memo[idx] = out
-    return out ^ phase
+def _transfer_walk(src: BDD, dst: BDD, ref: int, var_map: Dict[int, int],
+                   memo: Dict[int, int], ordered: bool) -> int:
+    """Copy ``ref`` into ``dst`` on an explicit stack, so a BDD of any
+    depth needs no recursion headroom.
+
+    ``memo`` maps each source node index already copied to its ``dst``
+    ref.  Nodes are built in post order, else child before then child,
+    then the node itself -- the allocation order :func:`structure_key`
+    reproduces -- through ``mk`` when ``ordered`` (``var_map`` keeps the
+    relative order), else through ``ite``, which re-orders.
+    """
+    var_arr, lo_arr, hi_arr = src._var, src._lo, src._hi
+    stack = [ref >> 1]
+    while stack:
+        idx = stack[-1]
+        if idx in memo:
+            stack.pop()
+            continue
+        lo, hi = lo_arr[idx], hi_arr[idx]
+        if lo >> 1 not in memo:
+            stack.append(lo >> 1)
+            continue
+        if hi >> 1 not in memo:
+            stack.append(hi >> 1)
+            continue
+        stack.pop()
+        new_lo = memo[lo >> 1] ^ (lo & 1)
+        new_hi = memo[hi >> 1] ^ (hi & 1)
+        var = var_map[var_arr[idx]]
+        if ordered:
+            memo[idx] = dst.mk(var, new_lo, new_hi)
+        else:
+            memo[idx] = dst.ite(dst.var_ref(var), new_hi, new_lo)
+    return memo[ref >> 1] ^ (ref & 1)
 
 
 def _used_vars(src: BDD, refs: Sequence[int]) -> Set[int]:

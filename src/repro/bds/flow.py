@@ -72,20 +72,21 @@ class BDSOptions:
     # raises repro.check.CheckError on the first violated invariant.
     check_level: str = "off"
     # First-class result verification (Section V): compare the optimized
-    # network against the input inside the flow.  "sim" simulates
-    # (exhaustive <= 12 inputs), "cec" builds global BDDs with a size cap,
-    # "full" is CEC plus a simulation cross-check of capped outputs.
+    # network against the input inside the flow.  Up to 20 inputs every
+    # mode compares full truth tables, a proof; above that "sim" simulates
+    # random patterns, "cec" builds global BDDs with a size cap, "full" is
+    # CEC plus a simulation cross-check of capped outputs.
     # A mismatch raises repro.verify.VerifyError with the counterexample;
     # capped outputs land in BDSResult.verify_unknown_outputs and the
     # verify_outputs_checked / verify_unknown counters in BDSResult.perf.
     verify: str = "off"
     verify_size_cap: int = 2_000_000
     verify_seed: int = 1355
-    # Wall-clock budget (seconds) for the BDD proof attempt.  None means
-    # "as long as the flow itself took" -- verification then never
-    # dominates the run, and outputs not proven in time are cross-checked
-    # by simulation in mode "full".  Use float("inf") for an unbounded
-    # proof attempt.
+    # Wall-clock budget (seconds) for the BDD proof attempt above 20
+    # inputs.  None means "as long as the flow itself took" --
+    # verification then never dominates the run, and outputs not proven
+    # in time are cross-checked by simulation in mode "full".  Use
+    # float("inf") for an unbounded proof attempt.
     verify_budget: Optional[float] = None
 
     #: Fields that never change the optimized network or its verdict:
@@ -218,7 +219,8 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
 
     with tr.span("flow", circuit=net.name, verify=opts.verify) as root:
         with tr.span("flow.sweep"):
-            sweep(work, merge_equivalent=opts.sweep_merge_equivalent)
+            sweep(work, merge_equivalent=opts.sweep_merge_equivalent,
+                  perf_sink=counters.add)
             checker.check_network(work, "network after initial sweep")
 
         with tr.span("flow.eliminate") as span:
@@ -248,7 +250,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
 
         with tr.span("flow.sharing"):
             if opts.sharing:
-                trees = extract_sharing(trees)
+                trees = extract_sharing(trees, perf_sink=counters.add)
 
         with tr.span("flow.lower"):
             gate_net = trees_to_network(trees, inputs=work.inputs,
@@ -278,7 +280,8 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                     size_cap=opts.verify_size_cap,
                     seed=opts.verify_seed,
                     deadline=deadline,
-                    subject="BDS result for %r" % net.name)
+                    subject="BDS result for %r" % net.name,
+                    perf_sink=counters.add)
                 verify_unknown = outcome.unknown_outputs
                 counters.add({
                     "verify_outputs_checked": float(outcome.outputs_checked),

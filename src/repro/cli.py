@@ -534,7 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["sim", "cec", "full"], metavar="MODE",
                        help="verify the result against the input inside the "
                             "flow (sim|cec|full; bare --verify means cec); "
-                            "mismatch exits 1, unproven outputs exit 2")
+                            "up to 20 inputs every mode compares full truth "
+                            "tables, a proof; mismatch exits 1, unproven "
+                            "outputs exit 2")
     p_opt.add_argument("--map", action="store_true",
                        help="map onto the mcnc-style cell library")
     p_opt.add_argument("--lut", type=int, metavar="K",
@@ -574,12 +576,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("b")
     p_ver.add_argument("--mode", choices=["sim", "cec", "full"],
                        default="cec",
-                       help="sim = (exhaustive) simulation, cec = size-"
-                            "capped BDD proof, full = cec + simulation of "
-                            "capped outputs")
+                       help="up to 20 inputs every mode compares full "
+                            "truth tables (a proof); above that, sim = "
+                            "random simulation, cec = size-capped BDD "
+                            "proof, full = cec + simulation of capped "
+                            "outputs")
     p_ver.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                        help="BDD work budget (node allocations) per output "
-                            "before giving up (reported as UNPROVEN, exit 2)")
+                            "before giving up (reported as UNPROVEN, exit "
+                            "2); bounds only the BDD proof above 20 inputs")
     p_ver.add_argument("--seed", type=int, default=1355,
                        help="seed for the simulation patterns")
     p_ver.set_defaults(func=_cmd_verify)

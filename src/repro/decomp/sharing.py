@@ -12,23 +12,34 @@ and MUX nodes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd import BDD
 from repro.decomp.ftree import CONST0, CONST1, FTree, negate
 from repro.network.network import Network
+from repro.perf import PerfSink
 from repro.sop.cube import lit
 
 
-def extract_sharing(trees: Dict[str, FTree],
-                    size_cap: int = 100000) -> Dict[str, FTree]:
+def extract_sharing(trees: Dict[str, FTree], size_cap: int = 100000,
+                    perf_sink: Optional[PerfSink] = None
+                    ) -> Dict[str, FTree]:
     """Merge functionally equivalent subtrees across all trees.
 
     Tree leaves must be hashable signal identifiers; equivalence is global
     (canonical BDD over all leaf signals).  ``size_cap`` bounds the shared
     manager; if exceeded the original trees are returned unchanged.
+    ``perf_sink``, when given, receives that manager's counters at the end.
     """
     mgr = BDD()
+    shared = _share(mgr, trees, size_cap)
+    if perf_sink is not None:
+        perf_sink(mgr.perf_snapshot())
+    return shared
+
+
+def _share(mgr: BDD, trees: Dict[str, FTree],
+           size_cap: int) -> Dict[str, FTree]:
     leaf_var: Dict[object, int] = {}
     canonical: Dict[int, FTree] = {}
     rewritten_total: Dict[str, FTree] = {}

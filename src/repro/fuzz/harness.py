@@ -4,8 +4,11 @@ One iteration draws a random netlist (:mod:`repro.fuzz.generator`) and one
 point of the flow's option matrix (:mod:`repro.fuzz.options`), runs the
 full BDS flow (plus an optional technology-mapping stage) and cross-checks
 the result against the input network with the strongest verifier
-available (``verify_networks(mode="full")`` -- BDD CEC with a simulation
-cross-check; exhaustive simulation below 13 inputs).  Any disagreement or
+available (``verify_networks(mode="full")``).  Every generated case has
+at most 16 inputs, within the exhaustive limit of 20, so the check
+compares full truth tables: a proof that shares no code with the BDD
+kernel the flow runs on (BDD CEC with a simulation cross-check would
+take over above the limit).  Any disagreement or
 flow exception is a *failure*; the failing input is then delta-debugged
 (:mod:`repro.fuzz.shrink`) down to a minimal netlist that still fails
 under the same options, and saved to the corpus
@@ -32,9 +35,10 @@ from repro.network.blif import write_blif
 from repro.network.network import Network
 from repro.verify import VerifyError, verify_networks
 
-#: Default BDD cap for the differential cross-check -- far above anything a
-#: tier-sized random circuit produces, so "unknown" effectively never
-#: happens during fuzzing and every iteration is a real verdict.
+#: Default BDD cap for the differential cross-check of a netlist above
+#: the exhaustive limit (no generated case has one) -- far above anything
+#: a tier-sized random circuit produces, so "unknown" effectively never
+#: happens and every iteration is a real verdict.
 CROSS_CHECK_CAP = 50000
 
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.network.cones import global_bdd, initial_order
 from repro.network.network import Network, Node
+from repro.perf import PerfSink
 from repro.sop.cover import cover_cofactor
 from repro.sop.cube import lit
 
@@ -44,11 +45,17 @@ BDD_CAP = 500
 WORK_CAP = 40 * BDD_CAP
 
 
-def sweep(net: Network, merge_equivalent: bool = True) -> Network:
-    """Sweep the network in place; returns it for chaining."""
+def sweep(net: Network, merge_equivalent: bool = True,
+          perf_sink: Optional[PerfSink] = None) -> Network:
+    """Sweep the network in place; returns it for chaining.
+
+    ``perf_sink``, when given, receives the counters of the functional
+    merge's BDD manager (a ``BDD.perf_snapshot()``) once the merge is
+    done, if the merge built one.
+    """
     out_pos = _output_positions(net)
     _structural_fixpoint(net, out_pos)
-    if merge_equivalent and _merge_functional(net, out_pos):
+    if merge_equivalent and _merge_functional(net, out_pos, perf_sink):
         # Merging can expose more constants/buffers.
         _structural_fixpoint(net, out_pos)
     net.check()
@@ -272,7 +279,8 @@ def _merge_structural(net: Network, out_pos: Dict[str, int]) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _merge_functional(net: Network, out_pos: Dict[str, int]) -> bool:
+def _merge_functional(net: Network, out_pos: Dict[str, int],
+                      perf_sink: Optional[PerfSink]) -> bool:
     """Merge nodes with identical global functions (signature + BDD proof)."""
     from repro.bdd import BDD
 
@@ -322,6 +330,8 @@ def _merge_functional(net: Network, out_pos: Dict[str, int]) -> bool:
                     continue  # already a buffer of the keeper
                 _redirect(net, out_pos, name, keep)
                 changed = True
+    if perf_sink is not None:
+        perf_sink(mgr.perf_snapshot())
     if changed:
         net.remove_dangling()
     return changed

@@ -24,7 +24,7 @@ numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Callable, Dict, Iterable
 
 
 @dataclass
@@ -58,6 +58,11 @@ class PerfCounters:
         if allocated > self.peak_allocated_nodes:
             self.peak_allocated_nodes = allocated
 
+
+#: Takes a finished manager's ``BDD.perf_snapshot()``: how code that
+#: makes a short-lived manager (sweep's functional merge, sharing
+#: extraction, the equivalence checker) hands its counters to a flow.
+PerfSink = Callable[[Dict[str, float]], None]
 
 #: Snapshot keys that are high-water marks (merged with ``max``); every
 #: other numeric key is a count and merges with ``+``.

@@ -248,15 +248,16 @@ def serve_stdio(service: OptimizationService, stdin: IO[str],
 
     The transport loop only: a line is read once fewer than ``backlog``
     jobs are outstanding, and at EOF every outstanding request is
-    answered before the function returns.
+    answered before the function returns.  A reply is written as soon as
+    its job finishes, while the loop waits for the next line, if
+    ``stdin`` has a descriptor (a pipe, a file, a terminal); a stream
+    without one (``io.StringIO``) is read a line at a time, so there a
+    reply waits for the next line or EOF.
     """
-    if isinstance(stdin, io.TextIOWrapper):
-        # UTF-8 whatever the locale, undecodable bytes replaced, as the
-        # socket transport decodes: a stray byte fails only its line.
-        stdin.reconfigure(encoding="utf-8", errors="replace")
     dispatcher = _Dispatcher(service, backlog)
     scheduler = dispatcher.scheduler
     stream = dispatcher.open_stream()
+    lines = _StdinLines(stdin)
 
     def write() -> None:
         dispatcher.pump(stream)
@@ -269,15 +270,68 @@ def serve_stdio(service: OptimizationService, stdin: IO[str],
         while not stream.closing:
             scheduler.wait_for_room(dispatcher.backlog)
             write()
-            line = stdin.readline()
+            line = lines.read(_JOB_TICK_S if scheduler.outstanding else None)
+            if line is None:
+                continue        # a tick without a line: write what finished
             if not line:
                 scheduler.wait_for_room(1)  # every verdict is in
                 break
             dispatcher.handle_line(stream, line)
         write()
     finally:
+        lines.close()
         scheduler.shutdown()
     return stream.session.emitted
+
+
+class _StdinLines:
+    """The lines of :func:`serve_stdio`'s input.
+
+    With a descriptor, lines are read from it directly into a byte
+    buffer, so a selector on it sees every byte not yet taken: a line
+    that a text layer had already buffered would never wake one.  A
+    ``SelectSelector`` takes every kind of descriptor, regular files
+    too.  Bytes decode as UTF-8 with replacement, as on a socket.
+    """
+
+    def __init__(self, stdin: IO[str]) -> None:
+        self.stdin = stdin
+        self.buf = b""
+        self.eof = False
+        self.selector: Optional[selectors.BaseSelector] = None
+        try:
+            self.fd = stdin.fileno()
+        except (AttributeError, OSError, ValueError):
+            # No descriptor: a reader with only ``readline``, or an
+            # io.UnsupportedOperation (an OSError and a ValueError).
+            # Blocking reads only.
+            if isinstance(stdin, io.TextIOWrapper):
+                # UTF-8 whatever the locale, undecodable bytes replaced,
+                # as the socket transport decodes: a stray byte fails
+                # only its line.
+                stdin.reconfigure(encoding="utf-8", errors="replace")
+            return
+        self.selector = selectors.SelectSelector()
+        self.selector.register(self.fd, selectors.EVENT_READ)
+
+    def read(self, timeout: Optional[float]) -> Optional[str]:
+        """The next line, ``""`` at EOF, or None once ``timeout`` seconds
+        pass without one (None waits for it).  A stream without a
+        descriptor always blocks until its next line."""
+        if self.selector is None:
+            return self.stdin.readline()
+        while b"\n" not in self.buf and not self.eof:
+            if not self.selector.select(timeout):
+                return None
+            data = os.read(self.fd, _RECV_SIZE)
+            self.buf += data
+            self.eof = not data
+        line, newline, self.buf = self.buf.partition(b"\n")
+        return (line + newline).decode("utf-8", errors="replace")
+
+    def close(self) -> None:
+        if self.selector is not None:
+            self.selector.close()
 
 
 class SocketServer:

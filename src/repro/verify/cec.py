@@ -4,7 +4,9 @@ Builds global BDDs (one manager, oriented FORCE order) for both
 networks output-by-output and compares canonical refs -- exactly how both
 BDS and SIS verify synthesis results (Section V).  A node-count cap guards
 against blowup; capped outputs are reported as ``unknown`` and should be
-cross-checked by simulation.
+cross-checked by simulation.  :func:`repro.verify.runner.verify_networks`
+calls it only above the exhaustive-simulation limit, where a full truth
+table is no longer the cheaper proof.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.bdd import BDD
 from repro.bdd.traverse import pick_assignment
 from repro.network.cones import global_bdd, initial_order
 from repro.network.network import Network
+from repro.perf import PerfSink
 
 
 class EquivalenceResult(NamedTuple):
@@ -33,7 +36,9 @@ DEFAULT_SIZE_CAP = 2_000_000
 
 
 def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
-                      deadline: Optional[float] = None) -> EquivalenceResult:
+                      deadline: Optional[float] = None,
+                      perf_sink: Optional[PerfSink] = None
+                      ) -> EquivalenceResult:
     """Check that two networks implement the same functions.
 
     Requires identical input and output name sets.  Returns a result whose
@@ -45,6 +50,8 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
     millions of intermediate nodes and still collapse to a small BDD.
     ``deadline`` (a ``time.monotonic()`` instant) bounds the whole call the
     same way: outputs not proven by then are reported unknown.
+    ``perf_sink``, when given, receives the checker manager's counters
+    when the check ends.
     """
     if set(a.inputs) != set(b.inputs):
         raise ValueError("input sets differ: %r vs %r"
@@ -75,6 +82,12 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
             diff = mgr.xor_(ref_a, ref_b)
             partial = pick_assignment(mgr, diff)
             cex = {name: partial.get(var_of[name], False) for name in a.inputs}
-            return EquivalenceResult(False, checked, unknown, cex, out)
+            result = EquivalenceResult(False, checked, unknown, cex, out)
+            break
         checked.append(out)
-    return EquivalenceResult(len(unknown) == 0, checked, unknown, None, None)
+    else:
+        result = EquivalenceResult(len(unknown) == 0, checked, unknown,
+                                   None, None)
+    if perf_sink is not None:
+        perf_sink(mgr.perf_snapshot())
+    return result

@@ -1,19 +1,21 @@
 """One verification entry point shared by the flow, the CLI and the fuzzer.
 
-``verify_networks`` compares an implementation against its specification at
-one of three strengths:
+``verify_networks`` compares an implementation against its specification.
+Up to :data:`repro.verify.simulate.EXHAUSTIVE_LIMIT` inputs every mode
+compares the full truth tables: a proof (or a counterexample) in at most
+16 bit-parallel passes per network, before any BDD manager exists, and
+independent of ``size_cap``, the deadline and the host's speed.  Above
+the limit the mode picks the strength:
 
 ``"sim"``
-    Simulation only -- exhaustive (a proof) at or below
-    :data:`repro.verify.simulate.EXHAUSTIVE_LIMIT` inputs, seeded random
-    patterns above.
+    Seeded random simulation patterns: "not refuted", never a proof.
 ``"cec"``
     BDD-based equivalence checking (Section V); outputs whose global BDD
-    exceeds ``size_cap`` are reported in ``unknown_outputs`` rather than
-    silently passing.
+    exceeds ``size_cap`` or the deadline are reported in
+    ``unknown_outputs`` rather than silently passing.
 ``"full"``
-    CEC first, then a simulation cross-check whenever the cap left any
-    output unknown -- the paper's own C6288 fallback.
+    CEC first, then a random-simulation cross-check whenever the cap left
+    any output unknown -- the paper's own C6288 fallback.
 
 ``require_equivalent`` wraps the same comparison and raises
 :class:`VerifyError` (carrying the counterexample assignment) on mismatch.
@@ -25,8 +27,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.network.network import Network
+from repro.perf import PerfSink
 from repro.verify.cec import DEFAULT_SIZE_CAP, check_equivalence
-from repro.verify.simulate import simulate_equivalence
+from repro.verify.simulate import EXHAUSTIVE_LIMIT, simulate_equivalence
 
 #: Recognized verification modes, in increasing strength order.
 VERIFY_MODES = ("off", "sim", "cec", "full")
@@ -80,20 +83,24 @@ class VerifyOutcome:
 def verify_networks(spec: Network, impl: Network, mode: str = "cec",
                     size_cap: int = DEFAULT_SIZE_CAP, seed: int = 1355,
                     rounds: int = 16, width: int = 256,
-                    deadline: Optional[float] = None) -> VerifyOutcome:
+                    deadline: Optional[float] = None,
+                    perf_sink: Optional[PerfSink] = None) -> VerifyOutcome:
     """Compare ``impl`` against ``spec``; never raises on mismatch.
 
-    ``deadline`` (a ``time.monotonic()`` instant) bounds the BDD proof
-    attempt; outputs not proven in time land in ``unknown_outputs`` (and
-    get simulated in mode "full").
+    ``size_cap`` and ``deadline`` (a ``time.monotonic()`` instant) bound
+    the BDD proof attempt above the exhaustive limit; outputs not proven
+    within them land in ``unknown_outputs`` (and get simulated in mode
+    "full").  ``perf_sink`` receives the BDD checker's counters, if it
+    ran.
     """
     if mode not in VERIFY_MODES or mode == "off":
         raise ValueError("verify mode must be one of %r, got %r"
                          % (VERIFY_MODES[1:], mode))
-    if mode == "sim":
-        return _simulate_outcome(spec, impl, "sim", seed, rounds, width)
+    if mode == "sim" or len(spec.inputs) <= EXHAUSTIVE_LIMIT:
+        return _simulate_outcome(spec, impl, mode, seed, rounds, width)
 
-    res = check_equivalence(spec, impl, size_cap=size_cap, deadline=deadline)
+    res = check_equivalence(spec, impl, size_cap=size_cap, deadline=deadline,
+                            perf_sink=perf_sink)
     if res.counterexample is not None:
         return VerifyOutcome(mode, equivalent=False, proven=False,
                              outputs_checked=len(res.checked_outputs),
@@ -106,11 +113,6 @@ def verify_networks(spec: Network, impl: Network, mode: str = "cec",
             sim.outputs_checked = len(res.checked_outputs)
             sim.unknown_outputs = list(res.unknown_outputs)
             return sim
-        if sim.proven:
-            # The cross-check was exhaustive: capped outputs are proven
-            # after all, not merely unrefuted.
-            return VerifyOutcome(mode, equivalent=True, proven=True,
-                                 outputs_checked=len(spec.outputs))
     return VerifyOutcome(mode, equivalent=True,
                          proven=not res.unknown_outputs,
                          outputs_checked=len(res.checked_outputs),
@@ -121,13 +123,14 @@ def require_equivalent(spec: Network, impl: Network, mode: str = "cec",
                        size_cap: int = DEFAULT_SIZE_CAP, seed: int = 1355,
                        rounds: int = 16, width: int = 256,
                        deadline: Optional[float] = None,
-                       subject: str = "optimized network") -> VerifyOutcome:
+                       subject: str = "optimized network",
+                       perf_sink: Optional[PerfSink] = None) -> VerifyOutcome:
     """Like :func:`verify_networks` but raises :class:`VerifyError` on
     mismatch; inconclusive (capped) outputs do *not* raise -- callers see
     them in ``unknown_outputs`` and decide."""
     outcome = verify_networks(spec, impl, mode=mode, size_cap=size_cap,
                               seed=seed, rounds=rounds, width=width,
-                              deadline=deadline)
+                              deadline=deadline, perf_sink=perf_sink)
     if not outcome.equivalent:
         raise VerifyError(
             "%s fails verification (%s): %s" % (subject, mode,
@@ -141,13 +144,11 @@ def require_equivalent(spec: Network, impl: Network, mode: str = "cec",
 
 def _simulate_outcome(spec: Network, impl: Network, mode: str, seed: int,
                       rounds: int, width: int) -> VerifyOutcome:
-    from repro.verify.simulate import EXHAUSTIVE_LIMIT
-
     agree, cex = simulate_equivalence(spec, impl, rounds=rounds, width=width,
                                       seed=seed)
-    exhaustive = len(spec.inputs) <= EXHAUSTIVE_LIMIT
     if agree:
-        return VerifyOutcome(mode, equivalent=True, proven=exhaustive,
+        return VerifyOutcome(mode, equivalent=True,
+                             proven=len(spec.inputs) <= EXHAUSTIVE_LIMIT,
                              outputs_checked=len(spec.outputs))
     assert cex is not None
     failing = _failing_output(spec, impl, cex)

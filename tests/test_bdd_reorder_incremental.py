@@ -287,10 +287,12 @@ class TestAutoreorder:
         mgr.enable_autoreorder(threshold=40)
         roots = self._grow(mgr, variables, random.Random(3), 120)
         tables = [_truth_table(mgr, r, variables) for r in roots]
-        assert mgr._reorder_pending  # mk crossed the threshold
+        assert mgr.num_nodes_live >= 40  # allocation crossed the threshold
+        assert mgr.perf.autoreorder_triggers == 0   # ... mk fires nothing
         mgr.maybe_collect(roots)
         assert mgr.perf.autoreorder_triggers == 1
-        assert not mgr._reorder_pending
+        mgr.maybe_collect(roots)         # no growth since: no second firing
+        assert mgr.perf.autoreorder_triggers == 1
         assert mgr._autoreorder_threshold >= 40
         assert [_truth_table(mgr, r, variables) for r in roots] == tables
         _assert_bookkeeping_exact(mgr)
@@ -308,10 +310,26 @@ class TestAutoreorder:
         variables = [mgr.new_var() for _ in range(10)]
         mgr.enable_autoreorder(threshold=10)
         roots = self._grow(mgr, variables, random.Random(5), 60)
-        assert mgr._reorder_pending
+        assert mgr.num_nodes_live >= 10
         mgr.disable_autoreorder()
         mgr.maybe_collect(roots)
         assert mgr.perf.autoreorder_triggers == 0
+
+    def test_garbage_alone_fires_no_reorder(self):
+        # 513 nodes allocated, but the one root keeps a single node: the
+        # safe point collects first and then sees nothing to reorder.
+        mgr = BDD()
+        variables = [mgr.new_var() for _ in range(10)]
+        mgr.enable_autoreorder(threshold=40)
+        self._grow(mgr, variables, random.Random(3), 120)
+        assert mgr.num_nodes_live >= 40
+        root = mgr.var_ref(variables[0])
+        mgr.maybe_collect([root])
+        assert mgr.perf.autoreorder_triggers == 0
+        assert mgr.perf.gc_sweeps == 1
+        assert mgr.num_nodes_live == 1
+        assert mgr.autoreorder == (40, "sift")
+        _assert_bookkeeping_exact(mgr)
 
     def test_arming_is_readable(self):
         mgr = BDD()
@@ -324,7 +342,8 @@ class TestAutoreorder:
     def test_window3_method(self):
         mgr = BDD()
         variables = [mgr.new_var() for _ in range(8)]
-        mgr.enable_autoreorder(threshold=30, method="window3")
+        # The roots hold 17 live nodes, and only live nodes fire.
+        mgr.enable_autoreorder(threshold=15, method="window3")
         roots = self._grow(mgr, variables, random.Random(9), 80)
         mgr.maybe_collect(roots)
         assert mgr.perf.autoreorder_triggers == 1

@@ -7,9 +7,9 @@ behaviour under randomized reordering.
 
 import itertools
 import random
+import sys
 
-
-from repro.bdd import BDD, ZERO, transfer, transfer_many
+from repro.bdd import BDD, ONE, ZERO, structure_key, transfer, transfer_many
 from repro.bdd.reorder import (
     force_order,
     move_var_to_level,
@@ -189,6 +189,44 @@ class TestTransfer:
         g = src.not_(f)
         result = transfer_many(src, [f, g])
         assert result.refs[0] == result.refs[1] ^ 1
+
+    def test_deep_bdd_transfers_without_recursion(self):
+        # "The number of true inputs is a multiple of 3" over 3,000
+        # variables: up to three nodes per level, each with two distinct
+        # non-constant children, so the copy's allocation order shows
+        # which child it visits first.  The mk path must allocate in
+        # structure_key's order; the ite path re-orders.
+        src = BDD()
+        vs = [src.new_var("x%d" % i) for i in range(3000)]
+        below = [ONE, ZERO, ZERO]        # residue r -> (r + rest) % 3 == 0
+        for v in reversed(vs):
+            below = [src.mk(v, below[r], below[(r + 1) % 3])
+                     for r in range(3)]
+        f = below[0]
+        swapped = vs[:-2] + [vs[-1], vs[-2]]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            key, _order = structure_key(src, f)
+            same = transfer_many(src, [f])
+            reordered = transfer_many(src, [f], order=swapped)
+        finally:
+            sys.setrecursionlimit(limit)
+        dst = same.manager
+        arrays = []
+        for idx in range(1, dst.num_nodes_allocated):
+            arrays += dst.node(idx << 1)
+        assert key == (same.refs[0],) + tuple(arrays)
+        rng = random.Random(3000)
+        for _ in range(20):
+            bits = {v: rng.random() < 0.5 for v in vs}
+            assert evaluate(src, f, bits) == (sum(bits.values()) % 3 == 0)
+            for moved in (same, reordered):
+                got = evaluate(moved.manager, moved.refs[0],
+                               {moved.var_map[v]: b for v, b in bits.items()})
+                assert got == (sum(bits.values()) % 3 == 0)
+        assert node_count(reordered.manager, reordered.refs[0]) == \
+            node_count(src, f)
 
 
 class TestForceOrder:

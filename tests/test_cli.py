@@ -3,8 +3,10 @@
 
 import pytest
 
+from repro.circuits import build_circuit
 from repro.cli import main
-from repro.network import parse_blif
+from repro.network import parse_blif, write_blif
+from repro.verify import EXHAUSTIVE_LIMIT
 
 
 @pytest.fixture
@@ -100,8 +102,14 @@ class TestVerifyContract:
     """Exit-code contract: 0 proven, 1 mismatch, 2 inconclusive."""
 
     def test_inconclusive_exits_2_and_names_outputs(self, tmp_path, capsys):
+        # add4 with unused inputs past EXHAUSTIVE_LIMIT: the size cap
+        # bounds only the BDD proof, which runs above the limit.
+        net = build_circuit("add4")
+        for k in range(EXHAUSTIVE_LIMIT + 1 - len(net.inputs)):
+            net.add_input("pad%d" % k)
         a = str(tmp_path / "a.blif")
-        main(["generate", "add4", "-o", a])
+        with open(a, "w") as fh:
+            fh.write(write_blif(net))
         rc = main(["verify", a, a, "--size-cap", "1"])
         assert rc == 2
         out = capsys.readouterr().out

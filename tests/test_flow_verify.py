@@ -61,7 +61,7 @@ class TestFlowVerify:
         assert result.network is not None
 
     def test_size_cap_yields_unknowns_not_error(self):
-        net = build_circuit("add4")
+        net = build_circuit("add16")      # > EXHAUSTIVE_LIMIT inputs
         result = bds_optimize(net, BDSOptions(verify="cec",
                                               verify_size_cap=1))
         assert result.verify_unknown_outputs

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.bdd import BDD
 from repro.bds.flow import BDSOptions, bds_optimize
 from repro.circuits import build_circuit
 from repro.network.blif import write_blif
@@ -142,6 +143,39 @@ class TestCounterDeltas:
 
 
 class TestFlowIntegration:
+    @pytest.mark.parametrize("circuit", ["C432", "rot"])
+    def test_every_phase_that_builds_a_bdd_counts_its_work(self, circuit,
+                                                          monkeypatch):
+        # A manager belongs to the phase span open when it is made.  Sweep's
+        # functional merge, sharing extraction and the equivalence checker
+        # hand their counters to the flow when they finish.
+        tr = Tracer()
+        made = []
+        init = BDD.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(tr.current)
+
+        monkeypatch.setattr(BDD, "__init__", tracked_init)
+        result = bds_optimize(build_circuit(circuit),
+                              BDSOptions(verify="cec"), tracer=tr)
+        phase_of = {}
+        for phase in result.trace.children:
+            stack = [phase]
+            while stack:
+                span = stack.pop()
+                phase_of[id(span)] = phase.name
+                stack.extend(span.children)
+        built = {phase_of[id(span)] for span in made}
+        assert built == {"flow.sweep", "flow.eliminate", "flow.decompose",
+                         "flow.sharing", "flow.verify"}
+        for phase in result.trace.children:
+            if phase.name in built:
+                assert phase.counters.get("ite_calls", 0) > 0, phase.name
+        agg = _sum_child_counters(result.trace.children)
+        assert agg["ite_calls"] == result.perf["ite_calls"]
+
     @pytest.mark.parametrize("circuit", ["rl_mux", "C880"])
     def test_phase_deltas_partition_flow_totals(self, circuit):
         tr = Tracer()

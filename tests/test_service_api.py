@@ -6,6 +6,10 @@ warm-cache speedup acceptance criterion."""
 import gc
 import io
 import json
+import os
+import select
+import subprocess
+import sys
 import time
 import weakref
 
@@ -21,6 +25,7 @@ from repro.service.server import DEFAULT_BACKLOG, serve_stdio
 from repro.verify import verify_networks
 
 SMALL = ["add4", "add8", "cmp8", "parity8", "rl_mux"]
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _slow_echo_worker(payload):
@@ -308,6 +313,35 @@ class TestServeLoop:
         assert len(made) == 9
         # ... and none of them was still held once it was written.
         assert stdin.alive == []
+
+
+class TestServeStdinPipe:
+    def test_reply_arrives_before_stdin_closes(self, tmp_path):
+        # A client that waits for each reply before it writes its next
+        # line: with the default backlog the reply must come while stdin
+        # stays open, not at the next line or at EOF.
+        blif = write_blif(build_circuit("add4"))
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        with open(tmp_path / "stderr.txt", "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--cache-dir", str(tmp_path / "cache")],
+                env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=err)
+            try:
+                proc.stdin.write(
+                    (json.dumps({"id": "r", "blif": blif}) + "\n").encode())
+                proc.stdin.flush()
+                ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+                assert ready, "no reply within 30 s while stdin stayed open"
+                reply = json.loads(proc.stdout.readline())
+                assert reply["id"] == "r" and reply["status"] == "ok", reply
+                proc.stdin.close()
+                assert proc.wait(timeout=30) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
 
 
 @pytest.mark.perf

@@ -145,7 +145,7 @@ class TestVerifyRunner:
         assert set(err.counterexample) == set(net.inputs)
 
     def test_unknowns_do_not_raise(self):
-        net = build_circuit("add4")
+        net = build_circuit("add16")       # > EXHAUSTIVE_LIMIT inputs
         outcome = require_equivalent(net, net.copy(), mode="cec",
                                      size_cap=1)
         assert outcome.unknown_outputs
