@@ -141,27 +141,44 @@ def _global_sift_once(cname):
         "size_before": before,
         "size_after": after,
         "swaps": mgr.perf.reorder_swaps,
-        "swaps_skipped": mgr.perf.reorder_swaps_skipped,
         "live_traversals": mgr.perf.live_traversals,
     }
 
 
 def _flow_reorder_metrics(cname):
-    """Per-supernode reorder CPU as the Table I harness exercises it."""
+    """Per-supernode reorder CPU as the Table I harness exercises it: the
+    time inside the flow's ``sift`` calls, taken by wrapping the name
+    ``repro.bds.flow`` resolves at call time (best of 3 flow runs)."""
+    import repro.bds.flow as flow
     from repro.bds import BDSOptions, bds_optimize
     from repro.circuits import build_circuit
 
     net = build_circuit(cname)
+    sift_inner = flow.sift
+    spent = [0.0]
+
+    def timed_sift(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return sift_inner(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
     best = None
-    for _ in range(3):
-        perf = bds_optimize(net, BDSOptions()).perf
-        if best is None or perf["reorder_time_s"] < best["reorder_time_s"]:
-            best = perf
+    flow.sift = timed_sift
+    try:
+        for _ in range(3):
+            spent[0] = 0.0
+            perf = bds_optimize(net, BDSOptions()).perf
+            if best is None or spent[0] < best[0]:
+                best = (spent[0], perf)
+    finally:
+        flow.sift = sift_inner
+    sift_s, perf = best
     return {
-        "flow_sift_s": round(best["reorder_time_s"], 4),
-        "flow_passes": int(best["reorder_passes"]),
-        "flow_swaps": int(best["reorder_swaps"]),
-        "flow_swaps_skipped": int(best["reorder_swaps_skipped"]),
+        "flow_sift_s": round(sift_s, 4),
+        "flow_passes": int(perf["reorder_passes"]),
+        "flow_swaps": int(perf["reorder_swaps"]),
     }
 
 

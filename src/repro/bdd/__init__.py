@@ -9,7 +9,8 @@ implements, from scratch, everything the paper assumes of a "BDD package":
 * the Coudert-Madre ``restrict``/``constrain`` don't-care minimizers
   (Section III-B of the paper relies on RESTRICT),
 * Minato-Morreale irredundant sum-of-products extraction,
-* path/leaf-edge statistics used by the structural decomposition engine,
+* support, size and phased-vertex traversals (the cut analysis of the
+  structural decomposition engine walks the phased view),
 * variable reordering by sifting (Rudell [30]),
 * inter-manager transfer -- the paper's "BDD mapping" (Section IV-B).
 

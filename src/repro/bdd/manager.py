@@ -202,18 +202,11 @@ class BDD:
         # so reordering reads exact per-level sizes without traversing.
         self._ref: List[int] = [0]
         self._var_counts: List[int] = []
-        # Active reorder session: (pinned roots, interaction masks or None).
-        self._reorder_session: Optional[
-            Tuple[List[int], Optional[List[int]]]] = None
-        # Growth-triggered dynamic reordering (enable_autoreorder): decided
-        # and run at a maybe_collect safe point, where the caller has
-        # declared the full root set.
-        self._autoreorder_threshold: Optional[int] = None
-        self._autoreorder_method: str = "sift"
+        # The pinned roots of the active reorder session, if any.
+        self._reorder_session: Optional[List[int]] = None
         self.perf = PerfCounters()
-        # Optional repro.obs tracer: when set by a flow, kernel safe
-        # points (GC sweeps, autoreorder firings) open sub-spans.  None
-        # keeps the hot path a single attribute test.
+        # Optional repro.obs tracer: when set by a flow, GC sweeps open
+        # sub-spans.  None keeps the hot path a single attribute test.
         self.tracer: Optional["Tracer"] = None
 
     # ------------------------------------------------------------------
@@ -856,31 +849,17 @@ class BDD:
         """Auto-GC trigger: sweep when the manager has grown past the
         adaptive threshold *and* the dead-node ratio makes it worthwhile.
 
-        Armed autoreorder (:meth:`enable_autoreorder`) is decided here
-        too: once the allocated count reaches its threshold, garbage is
-        collected first, and the reorder fires only if the live count
-        still reaches it -- garbage alone never fires one.
-
         Callers must pass every ref they still need (beyond registered
         roots) -- only call this at points where the full root set is known.
         Returns the number of nodes reclaimed (0 when no sweep ran).
         """
         active = self.num_nodes_live
-        swept = active >= self._gc_trigger
-        purged = 0
-        if swept:
-            purged = self.collect_garbage(extra_roots)
-            if active and purged / active < self.gc_dead_ratio:
-                # Mostly-live manager: back off, don't thrash on marking.
-                self._gc_trigger = max(self._gc_trigger,
-                                       2 * (active - purged))
-        threshold = self._autoreorder_threshold
-        if (threshold is not None and self._reorder_session is None
-                and self.num_nodes_live >= threshold):
-            if not swept:
-                purged += self.collect_garbage(extra_roots)
-            if self.num_nodes_live >= threshold:
-                self._fire_autoreorder(threshold, extra_roots)
+        if active < self._gc_trigger:
+            return 0
+        purged = self.collect_garbage(extra_roots)
+        if active and purged / active < self.gc_dead_ratio:
+            # Mostly-live manager: back off, don't thrash on marking.
+            self._gc_trigger = max(self._gc_trigger, 2 * (active - purged))
         return purged
 
     # ------------------------------------------------------------------
@@ -889,14 +868,13 @@ class BDD:
 
     @property
     def reordering(self) -> bool:
-        """True while a reorder session (sift/window pass) is active."""
+        """True while a reorder session (a sift pass) is active."""
         return self._reorder_session is not None
 
-    def begin_reorder(self, roots: Sequence[int],
-                      interactions: bool = True) -> int:
+    def begin_reorder(self, roots: Sequence[int]) -> int:
         """Open a reorder session: collect garbage so that every allocated
-        node is reachable from ``roots`` plus the registered roots, pin
-        ``roots``, and (optionally) build the variable interaction matrix.
+        node is reachable from ``roots`` plus the registered roots, and pin
+        ``roots``.
 
         Inside a session ``swap_adjacent`` reclaims nodes the moment their
         reference count drops to zero, which keeps ``num_nodes_live`` and
@@ -909,12 +887,7 @@ class BDD:
         pinned = list(roots)
         for r in pinned:
             self.register_root(r)
-        masks: Optional[List[int]] = None
-        if interactions and self.num_vars > 1:
-            from repro.bdd.traverse import interaction_masks
-
-            masks = interaction_masks(self, self.registered_roots())
-        self._reorder_session = (pinned, masks)
+        self._reorder_session = pinned
         return self.num_nodes_live
 
     def end_reorder(self) -> None:
@@ -924,73 +897,12 @@ class BDD:
         opening sweep already version-tagged every entry stale, and no
         operator may run (hence cache) while a session is active.
         """
-        session = self._reorder_session
-        if session is None:
+        pinned = self._reorder_session
+        if pinned is None:
             raise RuntimeError("no reorder session active")
-        for r in session[0]:
+        for r in pinned:
             self.deregister_root(r)
         self._reorder_session = None
-
-    def vars_interact(self, x: int, y: int) -> bool:
-        """True unless the session's interaction matrix proves that ``x``
-        and ``y`` never co-occur in a live cone (in which case swapping
-        their adjacent levels is a pure O(1) level-map transposition)."""
-        session = self._reorder_session
-        if session is None or session[1] is None:
-            return True
-        return bool((session[1][x] >> y) & 1)
-
-    def enable_autoreorder(self, threshold: int,
-                           method: str = "sift") -> None:
-        """Arm growth-triggered dynamic reordering (CUDD-style).
-
-        When the live node count crosses ``threshold``, the next
-        :meth:`maybe_collect` safe point runs the given reorder method
-        over the registered roots plus the caller's ``extra_roots``, then
-        raises the threshold to twice the post-reorder size so a healthy
-        table does not thrash.  ``method`` is a key of
-        :data:`repro.bdd.reorder.AUTOREORDER_METHODS`.
-        """
-        from repro.bdd.reorder import AUTOREORDER_METHODS
-
-        if method not in AUTOREORDER_METHODS:
-            raise ValueError("unknown autoreorder method %r (have %r)"
-                             % (method, sorted(AUTOREORDER_METHODS)))
-        if threshold <= 0:
-            raise ValueError("autoreorder threshold must be positive")
-        self._autoreorder_threshold = threshold
-        self._autoreorder_method = method
-
-    def disable_autoreorder(self) -> None:
-        self._autoreorder_threshold = None
-
-    @property
-    def autoreorder(self) -> Optional[Tuple[int, str]]:
-        """``(threshold, method)`` while armed, else None.  The threshold
-        is the current one: each firing raises it (see
-        :meth:`enable_autoreorder`)."""
-        if self._autoreorder_threshold is None:
-            return None
-        return (self._autoreorder_threshold, self._autoreorder_method)
-
-    def _fire_autoreorder(self, threshold: int,
-                          extra_roots: Sequence[int]) -> None:
-        """Run the armed reorder method (from :meth:`maybe_collect`), then
-        raise the threshold to twice the live size it leaves."""
-        from repro.bdd.reorder import AUTOREORDER_METHODS
-
-        self.perf.autoreorder_triggers += 1
-        if self.tracer is not None:
-            with self.tracer.span("bdd.autoreorder",
-                                  method=self._autoreorder_method,
-                                  live_before=self.num_nodes_live):
-                AUTOREORDER_METHODS[self._autoreorder_method](
-                    self, list(extra_roots))
-        else:
-            AUTOREORDER_METHODS[self._autoreorder_method](
-                self, list(extra_roots))
-        self._autoreorder_threshold = max(threshold,
-                                          2 * self.num_nodes_live)
 
     # ------------------------------------------------------------------
     # Cache management and perf reporting
@@ -1018,12 +930,9 @@ class BDD:
             "checks_run": perf.checks_run,
             "check_violations": perf.check_violations,
             "reorder_swaps": perf.reorder_swaps,
-            "reorder_swaps_skipped": perf.reorder_swaps_skipped,
             "reorder_passes": perf.reorder_passes,
-            "reorder_time_s": perf.reorder_time_s,
             "reorder_size_before": perf.reorder_size_before,
             "reorder_size_after": perf.reorder_size_after,
-            "autoreorder_triggers": perf.autoreorder_triggers,
             "live_traversals": perf.live_traversals,
             "cache_hits": cache.hits,
             "cache_misses": cache.misses,

@@ -1,4 +1,4 @@
-"""Variable reordering: incremental Rudell sifting plus cheap heuristics.
+"""Variable reordering: incremental Rudell sifting.
 
 The BDS flow reorders every local BDD before decomposition ("a BDD is first
 subjected to a variable reordering [30] ... a means to achieve an initial
@@ -10,21 +10,18 @@ logic simplification", Section IV-C).  We implement:
   are in DESIGN.md Section 6 commentary (standard Rudell argument adapted
   to complement edges: new *then* children are always regular).
 * :func:`sift` -- full sifting over live size measured from a root set.
-* :func:`window3` -- exhaustive window-permutation reordering.
 * :func:`force_order` -- the FORCE (hypergraph barycenter) heuristic for a
   good *initial* order of a multi-rooted collection, used when building
   local BDDs for a partitioned network.
 * :func:`random_order` -- for tests.
 
-Sifting and window passes run inside a manager *reorder session*
+Sifting runs inside a manager *reorder session*
 (:meth:`repro.bdd.manager.BDD.begin_reorder`): an opening mark-and-sweep
 makes every allocated node reachable from the root set, after which the
 manager's incrementally maintained reference counts and per-variable node
 counters keep the live size exact after every swap -- the inner loops
 never re-traverse from the roots (``perf.live_traversals`` pins this in
-tests).  On top of the O(1) size reads, sifting uses the session's
-variable *interaction matrix* to replace swaps between independent
-variables with O(1) level-map transpositions, and a *lower-bound prune*
+tests).  On top of the O(1) size reads, sifting uses a *lower-bound prune*
 to abandon a variable's sweep once the incremental size proves the sweep
 cannot beat the best position found so far (see docs/PERFORMANCE.md §7).
 """
@@ -32,8 +29,7 @@ cannot beat the best position found so far (see docs/PERFORMANCE.md §7).
 from __future__ import annotations
 
 import random
-import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bdd.manager import BDD, DEAD
 
@@ -220,105 +216,50 @@ def swap_adjacent(mgr: BDD, level: int) -> None:
         mgr._cache.drop_order_dependent()
 
 
-def _swap_levels_only(mgr: BDD, level: int) -> None:
-    """O(1) transposition of two adjacent levels whose variables do not
-    interact: no node at the upper level can reach the lower variable, so
-    swapping is a pure permutation-map update."""
-    x = mgr._level2var[level]
-    y = mgr._level2var[level + 1]
-    mgr._level2var[level], mgr._level2var[level + 1] = y, x
-    mgr._var2level[x], mgr._var2level[y] = level + 1, level
-    mgr.perf.reorder_swaps_skipped += 1
-
-
-def _session_swap(mgr: BDD, level: int) -> None:
-    """Swap two adjacent levels inside a session, skipping the node work
-    when the interaction matrix proves the variables independent."""
-    if mgr.vars_interact(mgr._level2var[level], mgr._level2var[level + 1]):
-        swap_adjacent(mgr, level)
-    else:
-        _swap_levels_only(mgr, level)
-
-
 def move_var_to_level(mgr: BDD, var: int, target: int,
                       roots: Optional[Sequence[int]] = None) -> None:
     """Move one variable to ``target`` level via adjacent swaps.
 
     Inside an active reorder session (or when ``roots`` is given, in a
     private one) the per-swap bookkeeping is fully incremental: dead
-    nodes are reclaimed as swaps orphan them and non-interacting swaps
-    collapse to O(1) transpositions.  With neither a session nor
-    ``roots`` the swaps run standalone and reclaim nothing (any held ref
-    stays valid).
+    nodes are reclaimed as swaps orphan them.  With neither a session
+    nor ``roots`` the swaps run standalone and reclaim nothing (any held
+    ref stays valid).
     """
-    if mgr.reordering:
-        _move_in_session(mgr, var, target)
-    elif roots is not None:
+    if roots is not None and not mgr.reordering:
         mgr.begin_reorder(roots)
         try:
-            _move_in_session(mgr, var, target)
+            move_var_to_level(mgr, var, target)
         finally:
             mgr.end_reorder()
-    else:
-        cur = mgr._var2level[var]
-        while cur < target:
-            swap_adjacent(mgr, cur)
-            cur += 1
-        while cur > target:
-            swap_adjacent(mgr, cur - 1)
-            cur -= 1
-
-
-def _move_in_session(mgr: BDD, var: int, target: int) -> None:
+        return
     cur = mgr._var2level[var]
     while cur < target:
-        _session_swap(mgr, cur)
+        swap_adjacent(mgr, cur)
         cur += 1
     while cur > target:
-        _session_swap(mgr, cur - 1)
+        swap_adjacent(mgr, cur - 1)
         cur -= 1
 
 
-def collect_garbage(mgr: BDD, roots: Sequence[int]) -> int:
-    """Purge every node unreachable from ``roots`` (plus any roots
-    registered on the manager): delegate to the manager's mark-and-sweep
-    collector, which tombstones dead slots onto the free list, compacts the
-    unique table and purges ``_nodes_by_var`` of stale indices.
-
-    Returns the number of nodes purged.  All refs other than those
-    reachable from the root set become invalid.
-    """
-    return mgr.collect_garbage(extra_roots=roots)
+#: Sifting stops moving a variable away from its start level once the
+#: live size passes this factor of the size the variable's sift began at.
+MAX_GROWTH = 1.5
 
 
-def _interacting_span(mgr: BDD, imask: int, levels: Iterable[int]) -> int:
-    """Total live nodes at ``levels`` whose variables interact with the
-    sifted variable (interaction bitmask ``imask``; -1 means "all") --
-    the only nodes a continued sweep of that variable can remove."""
-    counts = mgr._var_counts
-    l2v = mgr._level2var
-    total = 0
-    for lvl in levels:
-        w = l2v[lvl]
-        if (imask >> w) & 1:
-            total += counts[w]
-    return total
-
-
-def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
-         max_growth: float = 1.5, size_limit: int = 200000,
-         interactions: bool = True, prune: bool = True) -> int:
+def sift(mgr: BDD, roots: Sequence[int], size_limit: int = 200000,
+         prune: bool = True) -> int:
     """Rudell sifting: move each variable to its locally best level.
 
     ``roots`` defines liveness; size is the shared live node count of the
     root set (plus any registered roots, which stay protected).  Returns
-    the final live size.  ``max_vars`` limits sifting to the N variables
-    with most nodes (0 = all).
+    the final live size.  No variable moves when the live size at the
+    start exceeds ``size_limit``.
 
     All refs not reachable from ``roots`` (or registered roots) are
-    invalidated by the session's opening sweep.  ``interactions`` and
-    ``prune`` exist for differential testing: disabling them changes the
-    work done, never the resulting order or size.
+    invalidated by the session's opening sweep.  ``prune`` exists for
+    differential testing: disabling it changes the work done, never the
+    resulting order or size.
 
     Every live variable labels at least one live node, so the size can
     never drop below the number of live variables.  With ``prune``,
@@ -328,7 +269,6 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
     call returns the allocated size before opening the session: without
     the sweep, nodes the roots do not reach stay allocated.
     """
-    t0 = time.perf_counter()
     perf = mgr.perf
     perf.reorder_passes += 1
     if prune and all(count == 1 for count in mgr._var_counts):
@@ -336,7 +276,7 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
         perf.reorder_size_before += size
         perf.reorder_size_after += size
         return size
-    size = mgr.begin_reorder(roots, interactions=interactions)
+    size = mgr.begin_reorder(roots)
     perf.reorder_size_before += size
     peak = size
     try:
@@ -347,10 +287,7 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
         # The size can never drop below the number of live variables.
         floor = len(candidates) if prune else 0
         candidates.sort(key=lambda v: -counts[v])
-        if max_vars:
-            candidates = candidates[:max_vars]
         nlevels = mgr.num_vars
-        masks = mgr._reorder_session[1] if mgr._reorder_session else None
         l2v = mgr._level2var
         v2l = mgr._var2level
         var_arr = mgr._var
@@ -360,31 +297,22 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
                 break
             if counts[var] == 0:
                 continue
-            # -1 is the all-ones mask: without an interaction matrix every
-            # pair of variables is treated as interacting.
-            imask = masks[var] if masks is not None else -1
             start = v2l[var]
             best_level, best_size = start, size
-            limit = int(best_size * max_growth) + 2
+            limit = int(best_size * MAX_GROWTH) + 2
             cur = start
             # Sift toward the bottom first, then sweep to the top.  The
-            # lower bound: levels above `cur` are frozen for the rest of
-            # this direction, non-interacting levels below never change,
-            # so no future position can size below
-            #   size - counts[var] - (interacting nodes ahead) + 1.
-            ahead = _interacting_span(mgr, imask, range(cur + 1, nlevels))
+            # lower bound: levels behind `cur` are frozen for the rest of
+            # this direction and `var` keeps at least one node, so no
+            # future position can size below
+            #   size - counts[var] - (nodes at the levels ahead) + 1.
+            ahead = sum(counts[l2v[lvl]] for lvl in range(cur + 1, nlevels))
             while cur < nlevels - 1:
                 if prune and size - counts[var] - ahead + 1 >= best_size:
                     break
-                w = l2v[cur + 1]
-                if (imask >> w) & 1:
-                    ahead -= counts[w]
-                    swap_adjacent(mgr, cur)
-                    size = len(var_arr) - 1 - len(free)
-                else:
-                    l2v[cur], l2v[cur + 1] = w, var
-                    v2l[var], v2l[w] = cur + 1, cur
-                    perf.reorder_swaps_skipped += 1
+                ahead -= counts[l2v[cur + 1]]
+                swap_adjacent(mgr, cur)
+                size = len(var_arr) - 1 - len(free)
                 cur += 1
                 if size < best_size:
                     best_size, best_level = size, cur
@@ -392,19 +320,13 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
                     peak = size
                 if size > limit:
                     break
-            ahead = _interacting_span(mgr, imask, range(cur))
+            ahead = sum(counts[l2v[lvl]] for lvl in range(cur))
             while cur > 0:
                 if prune and size - counts[var] - ahead + 1 >= best_size:
                     break
-                w = l2v[cur - 1]
-                if (imask >> w) & 1:
-                    ahead -= counts[w]
-                    swap_adjacent(mgr, cur - 1)
-                    size = len(var_arr) - 1 - len(free)
-                else:
-                    l2v[cur - 1], l2v[cur] = var, w
-                    v2l[var], v2l[w] = cur - 1, cur
-                    perf.reorder_swaps_skipped += 1
+                ahead -= counts[l2v[cur - 1]]
+                swap_adjacent(mgr, cur - 1)
+                size = len(var_arr) - 1 - len(free)
                 cur -= 1
                 if size < best_size:
                     best_size, best_level = size, cur
@@ -412,58 +334,12 @@ def sift(mgr: BDD, roots: Sequence[int], max_vars: int = 0,
                     peak = size
                 if size > limit and cur < start:
                     break
-            _move_in_session(mgr, var, best_level)
+            move_var_to_level(mgr, var, best_level)
             size = len(var_arr) - 1 - len(free)
         return size
     finally:
         perf.observe_live(peak)
         perf.reorder_size_after += mgr.num_nodes_live
-        perf.reorder_time_s += time.perf_counter() - t0
-        mgr.end_reorder()
-
-
-def window3(mgr: BDD, roots: Sequence[int], passes: int = 2) -> int:
-    """Window-permutation reordering: exhaustively permute every window of
-    three adjacent levels, keeping the best live size.  Cheaper than full
-    sifting and often a good finisher after it.  Returns the final size.
-
-    Like :func:`sift`, refs not reachable from ``roots`` are invalidated.
-    """
-    # The six permutations of (0,1,2) as adjacent-swap programs relative
-    # to the current window state; each entry appends one swap (by window
-    # offset) forming the cyclic Steinhaus sequence 012 -> 102 -> 120 ->
-    # 210 -> 201 -> 021 -> (012).
-    program = [0, 1, 0, 1, 0]
-    t0 = time.perf_counter()
-    perf = mgr.perf
-    size = mgr.begin_reorder(roots)
-    perf.reorder_passes += 1
-    perf.reorder_size_before += size
-    try:
-        for _ in range(passes):
-            improved = False
-            for base in range(mgr.num_vars - 2):
-                best_size = mgr.num_nodes_live
-                best_state = 0
-                for state, offset in enumerate(program, start=1):
-                    _session_swap(mgr, base + offset)
-                    s = mgr.num_nodes_live
-                    if s < best_size:
-                        best_size, best_state = s, state
-                # One more swap returns to the original permutation
-                # (state 0); then replay to the best state.
-                _session_swap(mgr, base + 1)
-                for offset in program[:best_state]:
-                    _session_swap(mgr, base + offset)
-                if best_size < size:
-                    size = best_size
-                    improved = True
-            if not improved:
-                break
-        return mgr.num_nodes_live
-    finally:
-        perf.reorder_size_after += mgr.num_nodes_live
-        perf.reorder_time_s += time.perf_counter() - t0
         mgr.end_reorder()
 
 
@@ -480,16 +356,6 @@ def random_order(mgr: BDD, rng: random.Random) -> None:
     rng.shuffle(levels)
     for target, var in enumerate([mgr._level2var[l] for l in levels]):
         move_var_to_level(mgr, var, target)
-
-
-#: Reorder methods :meth:`repro.bdd.manager.BDD.enable_autoreorder` can
-#: fire at growth safe points.  Each takes (manager, roots) where roots
-#: are the in-flight refs the triggering safe point declared (registered
-#: roots are always protected in addition).
-AUTOREORDER_METHODS: Dict[str, Callable[[BDD, List[int]], int]] = {
-    "sift": lambda mgr, roots: sift(mgr, roots),
-    "window3": lambda mgr, roots: window3(mgr, roots, passes=1),
-}
 
 
 def force_order(var_groups: Iterable[Sequence[int]], num_vars: int,

@@ -49,13 +49,6 @@ class BDSOptions:
     use_bdd_mapping: bool = True
     reorder: bool = True
     sift_size_limit: int = 20000
-    # Growth-triggered dynamic reordering (CUDD-style): when > 0 every
-    # manager the flow owns is armed with ``enable_autoreorder``, so a
-    # live-size blowup (eliminate's partial collapses, decomposition
-    # intermediates) fires the method at the next GC safe point instead
-    # of waiting for the per-supernode sift.  0 = off.
-    autoreorder: int = 0
-    autoreorder_method: str = "sift"
     decomp: DecompOptions = field(default_factory=DecompOptions)
     sharing: bool = True
     final_sweep: bool = True
@@ -227,9 +220,6 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
             part = PartitionedNetwork.from_network(work)
             part.mgr.tracer = tr
             counters.live.append(part.perf_snapshot)
-            if opts.autoreorder:
-                part.mgr.enable_autoreorder(opts.autoreorder,
-                                            opts.autoreorder_method)
             checker.check_partition(part, "partition after construction")
             span.attrs.update(part.eliminate(
                 threshold=opts.eliminate_threshold,
@@ -336,8 +326,6 @@ def _decompose_supernode(src: BDD, ref: int, name: str, opts: BDSOptions,
     mgr, root = moved.manager, moved.refs[0]
     counters.live.append(mgr.perf_snapshot)
     mgr.tracer = tracer
-    if opts.autoreorder:
-        mgr.enable_autoreorder(opts.autoreorder, opts.autoreorder_method)
     if opts.reorder and not mgr.is_const(root):
         sift(mgr, [root], size_limit=opts.sift_size_limit)
     stats = DecompStats()

@@ -4,7 +4,7 @@ Mirrors how BDS itself was used as a tool::
 
     python -m repro.cli optimize input.blif -o output.blif [--flow bds|sis]
         [--verify [sim|cec|full]] [--map | --lut K] [--balance] [--stats]
-        [--check LEVEL] [--autoreorder N] [--trace FILE] [--json]
+        [--check LEVEL] [--trace FILE] [--json]
         [--cache-dir DIR]
     python -m repro.cli generate bshift32 -o bshift32.blif
     python -m repro.cli verify a.blif b.blif [--mode sim|cec|full]
@@ -67,7 +67,6 @@ def _cmd_optimize(args) -> int:
     if args.flow == "bds":
         options = BDSOptions(balance_trees=args.balance,
                              check_level=args.check,
-                             autoreorder=args.autoreorder,
                              verify=verify_mode)
         if args.cache_dir:
             from repro.service import (ArtifactCache, OptimizationService,
@@ -548,9 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="off",
                        help="run the BDD/network invariant sanitizer at "
                             "flow safe points")
-    p_opt.add_argument("--autoreorder", type=int, default=0, metavar="N",
-                       help="fire dynamic variable reordering when a "
-                            "manager grows past N live nodes (0 = off)")
     p_opt.add_argument("--trace", metavar="FILE",
                        help="record a span trace of the flow and write it "
                             "as Chrome trace_event JSON (load in "

@@ -44,10 +44,6 @@ def sample_options(rng: random.Random) -> Tuple[BDSOptions, Optional[str]]:
         use_bdd_mapping=rng.random() < 0.7,
         reorder=rng.random() < 0.8,
         sift_size_limit=rng.choice([50, 20000, 20000]),
-        # Small thresholds on purpose: fuzz circuits are tiny, so only a
-        # low trigger ever exercises the dynamic-reorder safe points.
-        autoreorder=rng.choice([0, 0, 0, 200, 500, 1000]),
-        autoreorder_method=rng.choice(["sift", "sift", "window3"]),
         decomp=decomp,
         sharing=rng.random() < 0.85,
         final_sweep=rng.random() < 0.9,

@@ -254,16 +254,6 @@ class PartitionedNetwork:
             self._drop(n)
         return len(dead)
 
-    def _collect(self) -> None:
-        """GC safe point: ``refs`` is the complete live root set.  An
-        autoreorder that fires here changes BDD sizes, so they are
-        counted again."""
-        mgr = self.mgr
-        fired = mgr.perf.autoreorder_triggers
-        mgr.maybe_collect(self.refs.values())
-        if mgr.perf.autoreorder_triggers != fired:
-            self._sizes = {n: node_count(mgr, r) for n, r in self.refs.items()}
-
     # -- the eliminate loop ----------------------------------------------
 
     def eliminate(self, threshold: int = 0, size_cap: int = 1000,
@@ -304,7 +294,7 @@ class PartitionedNetwork:
                     counts["rejected"] += 1
                     # The trial compositions are garbage now; reap them if
                     # the manager has grown past the trigger.
-                    self._collect()
+                    self.mgr.maybe_collect(self.refs.values())
                     continue
                 counts["collapsed"] += 1
                 for c, ref in merged.items():
@@ -313,7 +303,7 @@ class PartitionedNetwork:
                 changed = True
                 # Dead-node sweep at a safe point: the collapse is merged,
                 # so self.refs is the complete live root set.
-                self._collect()
+                self.mgr.maybe_collect(self.refs.values())
                 if checker is not None:
                     checker.check_partition(self, "eliminate collapse",
                                             quick=True)
@@ -385,12 +375,9 @@ class PartitionedNetwork:
         # variables (a node whose BDD is constant may still be referenced).
         new_mgr = result.manager
         # The retired manager's counters just moved into _retired_perf;
-        # the tracer and the autoreorder arming follow to the fresh
-        # manager, so GC and reorder safe points keep firing after a BDD
-        # mapping.
+        # the tracer follows to the fresh manager, so GC safe points keep
+        # opening spans after a BDD mapping.
         new_mgr.tracer = self.mgr.tracer
-        if self.mgr.autoreorder is not None:
-            new_mgr.enable_autoreorder(*self.mgr.autoreorder)
         self.refs = dict(zip(names, result.refs))
         self.sig_var = {}
         for sig in [*self.inputs, *names]:

@@ -140,8 +140,8 @@ def collect_flow_payload(circuits: Optional[Tuple[str, ...]] = None,
     (mirrors the paper's CPU column), as the minimum over
     :data:`CALLS_PER_CIRCUIT` calls; node/literal counts come from the
     optimized network; counters are the flow's ``BDSResult.perf``.  The
-    calls must agree on all of these except the time-valued counters
-    (``*_s``); a disagreement raises ``RuntimeError``.
+    calls must agree on all of these but the CPU time, every counter
+    exactly; a disagreement raises ``RuntimeError``.
     """
     from repro.bds.flow import BDSOptions, bds_optimize
     from repro.circuits import build_circuit
@@ -171,10 +171,8 @@ def collect_flow_payload(circuits: Optional[Tuple[str, ...]] = None,
 
 
 def _work(run: Dict[str, Any]) -> Dict[str, Any]:
-    """A payload entry without its timings: what must repeat exactly."""
-    return {"nodes": run["nodes"], "literals": run["literals"],
-            "counters": {k: v for k, v in run["counters"].items()
-                         if not k.endswith("_s")}}
+    """A payload entry without its CPU time: what must repeat exactly."""
+    return {k: v for k, v in run.items() if k != "cpu_s"}
 
 
 def load_baseline(path: str) -> Dict[str, Any]:

@@ -42,12 +42,9 @@ class PerfCounters:
     check_violations: int = 0     # invariant violations those audits found
     # Reordering engine (see repro.bdd.reorder and docs/PERFORMANCE.md).
     reorder_swaps: int = 0        # adjacent swaps actually performed
-    reorder_swaps_skipped: int = 0  # swaps replaced by O(1) level-map flips
-    reorder_passes: int = 0       # sift/window3 invocations
-    reorder_time_s: float = 0.0   # wall-clock spent inside reorder passes
+    reorder_passes: int = 0       # sift invocations
     reorder_size_before: int = 0  # cumulative live size entering each pass
     reorder_size_after: int = 0   # cumulative live size leaving each pass
-    autoreorder_triggers: int = 0  # growth-triggered dynamic reorderings
     live_traversals: int = 0      # full live_nodes() mark traversals
 
     def observe_live(self, live: int) -> None:

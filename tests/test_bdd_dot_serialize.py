@@ -2,7 +2,7 @@
 
 The DOT graphs must be structurally closed (every edge endpoint declared)
 even in the presence of complement edges, and serialization must survive
-the variable permutations sift/window3 leave behind.
+the variable permutations sifting leaves behind.
 """
 
 import itertools
@@ -11,7 +11,7 @@ import re
 
 from repro.bdd import BDD
 from repro.bdd.dot import to_dot
-from repro.bdd.reorder import sift, window3
+from repro.bdd.reorder import sift
 from repro.bdd.serialize import dumps, loads
 from repro.bdd.traverse import evaluate
 
@@ -116,11 +116,13 @@ class TestSerializeAfterReorder:
         assert after == before
 
     def test_roundtrip_after_window3(self):
+        # Window reordering is gone; its case, a larger function than
+        # the one above, is kept and sifted instead.
         rng = random.Random(23)
         mgr = BDD()
         variables, roots = self._random_refs(mgr, rng, n_vars=7, n_ops=40)
         names = [mgr.var_name(v) for v in variables]
-        window3(mgr, roots, passes=2)
+        sift(mgr, roots)
         before = [self._truth(mgr, r, names) for r in roots]
         mgr2, roots2 = loads(dumps(mgr, roots))
         after = [self._truth(mgr2, r, names) for r in roots2]

@@ -2,13 +2,13 @@
 
 The tentpole claim of the engine is that the manager's per-slot reference
 counts and per-variable node counters stay *exact* through arbitrary
-interleavings of ``mk``, adjacent swaps, sifting, window passes and
+interleavings of ``mk``, adjacent swaps, sifting, variable moves and
 garbage collection -- exact enough that sifting's inner loop never has to
 re-traverse from the roots to measure size.  These tests pin that claim
 differentially (Hypothesis interleavings audited against ground truth
-recomputed via ``live_nodes``), plus the engine's work-saving layers:
-interaction-matrix swap skipping and lower-bound pruning change the work
-done, never the resulting order or size.
+recomputed via ``live_nodes``), plus the engine's work-saving layer:
+lower-bound pruning changes the work done, never the resulting order or
+size.
 """
 
 import itertools
@@ -23,7 +23,6 @@ from repro.bdd.reorder import (
     random_order,
     sift,
     swap_adjacent,
-    window3,
 )
 from repro.bdd.traverse import evaluate, live_nodes
 from repro.check import sanitize_bdd
@@ -91,7 +90,7 @@ class TestDifferentialBookkeeping:
         rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="seed"))
         refs = _random_function(mgr, variables, rng, n_ops=12)
         ops = data.draw(st.lists(
-            st.sampled_from(["mk", "swap", "sift", "window", "move", "gc"]),
+            st.sampled_from(["mk", "swap", "sift", "move", "gc"]),
             min_size=1, max_size=8), label="ops")
         for op in ops:
             if op == "mk":
@@ -101,15 +100,13 @@ class TestDifferentialBookkeeping:
                 swap_adjacent(mgr, rng.randrange(nvars - 1))
             elif op == "sift":
                 sift(mgr, refs)
-            elif op == "window":
-                window3(mgr, refs, passes=1)
             elif op == "move":
                 var = rng.randrange(nvars)
                 move_var_to_level(mgr, var, rng.randrange(nvars), roots=refs)
             else:
                 mgr.collect_garbage(extra_roots=refs)
             _assert_bookkeeping_exact(mgr)
-            if op in ("sift", "window", "move", "gc"):
+            if op in ("sift", "move", "gc"):
                 # Safe points: everything allocated is reachable again.
                 _assert_counts_match_live(mgr, refs)
         # The sanitizer's full level runs the same audits (plus the rest
@@ -124,7 +121,6 @@ class TestDifferentialBookkeeping:
         tracked = rng.sample(refs, 6)
         tables = [_truth_table(mgr, r, variables) for r in tracked]
         sift(mgr, tracked)
-        window3(mgr, tracked, passes=1)
         move_var_to_level(mgr, variables[0], 4, roots=tracked)
         sift(mgr, tracked)
         assert [_truth_table(mgr, r, variables) for r in tracked] == tables
@@ -153,7 +149,6 @@ class TestNoTraversalInSiftLoop:
         refs = _random_function(mgr, variables, rng, n_ops=40)
         roots = refs[-3:]
         before = mgr.perf.live_traversals
-        window3(mgr, roots, passes=2)
         move_var_to_level(mgr, variables[2], 0, roots=roots)
         move_var_to_level(mgr, variables[2], 5, roots=roots)
         assert mgr.perf.live_traversals == before
@@ -164,8 +159,7 @@ def _two_group_manager():
 
     Roots: ``a0 a2 + a1 a3`` over the a-group, whose pairs the order
     keeps apart (9 nodes where sifting finds 7), and a conjunction over
-    the b-group; no variable of one group interacts with any of the
-    other.
+    the b-group; no root depends on variables of both groups.
     """
     mgr = BDD()
     a = [mgr.new_var("a%d" % i) for i in range(4)]
@@ -182,34 +176,19 @@ def _two_group_manager():
 
 
 class TestInteractionMatrix:
-    """Non-co-occurring variables swap as O(1) map flips; disabling the
-    matrix changes the work done, never the resulting order or size."""
+    """Multi-rooted sifting over disjoint supports.  Sifting once had an
+    interaction matrix that turned swaps of independent variables into
+    level-map flips; without it every swap runs, and the sift still ends
+    at the order it ended at with the matrix."""
 
     def test_skips_on_disjoint_supports(self):
         mgr, variables, roots = _two_group_manager()
         tables = [_truth_table(mgr, r, variables) for r in roots]
         size = sift(mgr, roots)
-        assert mgr.perf.reorder_swaps_skipped > 0
         assert [_truth_table(mgr, r, variables) for r in roots] == tables
         assert size == mgr.num_nodes_live == 7
-
-    def test_same_result_without_matrix(self):
-        mgr1, _, roots1 = _two_group_manager()
-        mgr2, _, roots2 = _two_group_manager()
-        size1 = sift(mgr1, roots1, interactions=True)
-        size2 = sift(mgr2, roots2, interactions=False)
-        assert size1 == size2
-        assert mgr1._level2var == mgr2._level2var
-        assert mgr2.perf.reorder_swaps_skipped == 0
-
-    def test_single_root_all_support_interacts(self):
-        mgr = BDD()
-        variables = [mgr.new_var() for _ in range(4)]
-        f = mgr.var_ref(variables[0])
-        for v in variables[1:]:
-            f = mgr.or_(f, mgr.var_ref(v))
-        sift(mgr, [f])
-        assert mgr.perf.reorder_swaps_skipped == 0
+        # a0 b0 b1 a2 a1 b2 a3: the order sifting with the matrix left.
+        assert mgr._level2var == [0, 4, 5, 2, 1, 6, 3]
 
 
 class TestLowerBoundPruning:
@@ -274,104 +253,6 @@ def _read_once_chain(mgr, rng, direct):
             literal = mgr.var_ref(var) ^ negative
             f = getattr(mgr, op + "_")(literal, f)
     return f
-
-
-class TestAutoreorder:
-    def _grow(self, mgr, variables, rng, n_ops):
-        refs = _random_function(mgr, variables, rng, n_ops=n_ops)
-        return refs[-6:]
-
-    def test_trigger_fires_at_safe_point(self):
-        mgr = BDD()
-        variables = [mgr.new_var() for _ in range(10)]
-        mgr.enable_autoreorder(threshold=40)
-        roots = self._grow(mgr, variables, random.Random(3), 120)
-        tables = [_truth_table(mgr, r, variables) for r in roots]
-        assert mgr.num_nodes_live >= 40  # allocation crossed the threshold
-        assert mgr.perf.autoreorder_triggers == 0   # ... mk fires nothing
-        mgr.maybe_collect(roots)
-        assert mgr.perf.autoreorder_triggers == 1
-        mgr.maybe_collect(roots)         # no growth since: no second firing
-        assert mgr.perf.autoreorder_triggers == 1
-        assert mgr._autoreorder_threshold >= 40
-        assert [_truth_table(mgr, r, variables) for r in roots] == tables
-        _assert_bookkeeping_exact(mgr)
-
-    def test_threshold_raised_after_fire(self):
-        mgr = BDD()
-        variables = [mgr.new_var() for _ in range(10)]
-        mgr.enable_autoreorder(threshold=40)
-        roots = self._grow(mgr, variables, random.Random(3), 120)
-        mgr.maybe_collect(roots)
-        assert mgr._autoreorder_threshold >= 2 * mgr.num_nodes_live
-
-    def test_disable_clears_pending(self):
-        mgr = BDD()
-        variables = [mgr.new_var() for _ in range(10)]
-        mgr.enable_autoreorder(threshold=10)
-        roots = self._grow(mgr, variables, random.Random(5), 60)
-        assert mgr.num_nodes_live >= 10
-        mgr.disable_autoreorder()
-        mgr.maybe_collect(roots)
-        assert mgr.perf.autoreorder_triggers == 0
-
-    def test_garbage_alone_fires_no_reorder(self):
-        # 513 nodes allocated, but the one root keeps a single node: the
-        # safe point collects first and then sees nothing to reorder.
-        mgr = BDD()
-        variables = [mgr.new_var() for _ in range(10)]
-        mgr.enable_autoreorder(threshold=40)
-        self._grow(mgr, variables, random.Random(3), 120)
-        assert mgr.num_nodes_live >= 40
-        root = mgr.var_ref(variables[0])
-        mgr.maybe_collect([root])
-        assert mgr.perf.autoreorder_triggers == 0
-        assert mgr.perf.gc_sweeps == 1
-        assert mgr.num_nodes_live == 1
-        assert mgr.autoreorder == (40, "sift")
-        _assert_bookkeeping_exact(mgr)
-
-    def test_arming_is_readable(self):
-        mgr = BDD()
-        assert mgr.autoreorder is None
-        mgr.enable_autoreorder(threshold=40, method="window3")
-        assert mgr.autoreorder == (40, "window3")
-        mgr.disable_autoreorder()
-        assert mgr.autoreorder is None
-
-    def test_window3_method(self):
-        mgr = BDD()
-        variables = [mgr.new_var() for _ in range(8)]
-        # The roots hold 17 live nodes, and only live nodes fire.
-        mgr.enable_autoreorder(threshold=15, method="window3")
-        roots = self._grow(mgr, variables, random.Random(9), 80)
-        mgr.maybe_collect(roots)
-        assert mgr.perf.autoreorder_triggers == 1
-
-    def test_rejects_bad_arguments(self):
-        mgr = BDD()
-        try:
-            mgr.enable_autoreorder(threshold=10, method="nope")
-            assert False, "unknown method accepted"
-        except ValueError:
-            pass
-        try:
-            mgr.enable_autoreorder(threshold=0)
-            assert False, "non-positive threshold accepted"
-        except ValueError:
-            pass
-
-    def test_flow_with_autoreorder_is_equivalent(self):
-        from repro.bds import BDSOptions, bds_optimize
-        from repro.circuits import build_circuit
-
-        net = build_circuit("add8")
-        result = bds_optimize(net, BDSOptions(autoreorder=64, verify="sim"))
-        assert result.perf["autoreorder_triggers"] >= 0  # armed, may fire
-        result2 = bds_optimize(
-            net, BDSOptions(autoreorder=64, autoreorder_method="window3",
-                            verify="sim"))
-        assert result2.network.stats()["nodes"] > 0
 
 
 class TestRandomOrderRoundTrip:

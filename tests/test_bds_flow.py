@@ -143,16 +143,6 @@ class TestBdsFlow:
         assert result.network.eval({"a": True})["k"] is False
         assert result.network.eval({"a": False})["k"] is False
 
-    def test_interaction_matrix_skips_swaps_under_autoreorder(self):
-        # Pins the variable interaction matrix in the flow.  A default
-        # in-flow sift has one root in a manager that holds only that
-        # root's support, so no pair of variables is ever independent;
-        # autoreorder sifts eliminate's multi-rooted manager, where the
-        # matrix replaces most swaps by level-map flips (73,639 on C432).
-        result = bds_optimize(build_circuit("C432"),
-                              BDSOptions(autoreorder=200))
-        assert result.perf["reorder_swaps_skipped"] > 0
-
 
 class TestManagerLifetime:
     @pytest.mark.parametrize("circuit, options", [

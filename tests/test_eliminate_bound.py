@@ -14,7 +14,7 @@ import pytest
 
 from repro.bdd import BDD, BddBudgetExceeded, ONE, ZERO, transfer
 from repro.bdd.traverse import node_count, support
-from repro.check import Checker, sanitize_bdd
+from repro.check import sanitize_bdd
 from repro.circuits import build_circuit, random_logic
 from repro.network import Network
 from repro.network.eliminate import PartitionedNetwork
@@ -129,16 +129,6 @@ def test_a_collapse_that_exactly_fills_its_bound_is_accepted(limits):
     assert counts["collapsed"] == 1
     assert list(part.refs) == ["y"]
     assert part.refs["y"] == part.mgr.var_ref(part.sig_var["a"]) ^ 1
-
-
-def test_autoreorder_recounts_cached_sizes():
-    """An autoreorder firing at eliminate's GC safe point changes BDD
-    sizes; the full partition lint at each pass boundary compares the
-    cached sizes with fresh counts."""
-    part = PartitionedNetwork.from_network(build_circuit("C432"))
-    part.mgr.enable_autoreorder(50)
-    part.eliminate(use_mapping=False, checker=Checker("full"))
-    assert part.mgr.perf.autoreorder_triggers > 0
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ VARIANTS = {
 #: run with the perf-marked tests (``pytest -m perf``).
 SLOW_VARIANTS = {
     "use_sdc": {"use_sdc": True},
-    "autoreorder": {"autoreorder": 200},
     "eliminate_10": {"eliminate_threshold": 10},
 }
 

@@ -7,7 +7,6 @@ import itertools
 import pytest
 
 from repro.bdd import BDD, ONE, ZERO, to_dot, transfer_many
-from repro.bdd.traverse import leaf_edge_stats
 from repro.decomp import DecompOptions, decompose
 from repro.network import Network, parse_blif, write_blif
 from repro.network.eliminate import PartitionedNetwork, collapse_node_into
@@ -117,20 +116,6 @@ class TestDecompOptions:
         f = mgr.xor_many([mgr.var_ref(v) for v in vs])
         tree = decompose(mgr, f, options=DecompOptions(verify=False))
         assert tree.to_bdd(mgr) == f
-
-
-class TestLeafEdgeStats:
-    def test_structural_scan_classifies(self):
-        # The paper's structural scan: AND/OR functions are leaf-edge rich,
-        # XOR functions complement-edge rich.
-        mgr = BDD()
-        vs = [mgr.new_var() for _ in range(6)]
-        andf = mgr.and_many([mgr.var_ref(v) for v in vs])
-        xorf = mgr.xor_many([mgr.var_ref(v) for v in vs])
-        _, zeros_and, comp_and = leaf_edge_stats(mgr, andf)
-        _, zeros_xor, comp_xor = leaf_edge_stats(mgr, xorf)
-        assert zeros_and > zeros_xor
-        assert comp_xor > comp_and
 
 
 class TestTransferEdges:

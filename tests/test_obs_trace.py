@@ -186,7 +186,7 @@ class TestFlowIntegration:
         agg = _sum_child_counters(root.children)
         totals = _count_totals(result.perf)
         for key, want in totals.items():
-            assert agg.get(key, 0) == pytest.approx(want), \
+            assert agg.get(key, 0) == want, \
                 "phase deltas for %r do not sum to the flow total" % key
         assert set(agg) <= set(totals) | {k for k in agg if agg[k] == 0}
 

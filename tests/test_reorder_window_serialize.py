@@ -1,4 +1,4 @@
-"""Tests for window-permutation reordering and BDD serialization."""
+"""Tests for BDD serialization."""
 
 import itertools
 import random
@@ -6,9 +6,8 @@ import random
 import pytest
 
 from repro.bdd import BDD, ONE, ZERO
-from repro.bdd.reorder import sift, window3
 from repro.bdd.serialize import dumps, loads
-from repro.bdd.traverse import evaluate, node_count
+from repro.bdd.traverse import evaluate
 
 
 def _random_function(mgr, variables, rng, n_ops=30):
@@ -25,53 +24,6 @@ def _truth(mgr, ref, variables):
     return tuple(evaluate(mgr, ref, dict(zip(variables, bits)))
                  for bits in itertools.product([False, True],
                                                repeat=len(variables)))
-
-
-class TestWindow3:
-    def test_preserves_semantics(self):
-        rng = random.Random(41)
-        for _ in range(8):
-            mgr = BDD()
-            vs = [mgr.new_var() for _ in range(6)]
-            f = _random_function(mgr, vs, rng)
-            before = _truth(mgr, f, vs)
-            window3(mgr, [f])
-            assert _truth(mgr, f, vs) == before
-
-    def test_never_grows(self):
-        rng = random.Random(43)
-        for _ in range(6):
-            mgr = BDD()
-            vs = [mgr.new_var() for _ in range(7)]
-            f = _random_function(mgr, vs, rng, n_ops=40)
-            before = node_count(mgr, f)
-            after = window3(mgr, [f])
-            assert after <= before
-
-    def test_improves_interleaved_and(self):
-        mgr = BDD()
-        a = [mgr.new_var("a%d" % i) for i in range(3)]
-        b = [mgr.new_var("b%d" % i) for i in range(3)]
-        f = ZERO
-        for ai, bi in zip(a, b):
-            f = mgr.or_(f, mgr.and_(mgr.var_ref(ai), mgr.var_ref(bi)))
-        before = node_count(mgr, f)
-        after = window3(mgr, [f], passes=4)
-        assert after <= before
-
-    def test_comparable_to_sift_on_small(self):
-        rng = random.Random(47)
-        mgr1, mgr2 = BDD(), BDD()
-        for m in (mgr1, mgr2):
-            [m.new_var("v%d" % i) for i in range(6)]
-        vs1 = list(range(6))
-        f1 = _random_function(mgr1, vs1, rng, n_ops=35)
-        rng2 = random.Random(47)
-        f2 = _random_function(mgr2, vs1, rng2, n_ops=35)
-        s_window = window3(mgr1, [f1], passes=3)
-        s_sift = sift(mgr2, [f2])
-        # Window3 is weaker but should be in the same ballpark.
-        assert s_window <= 2 * max(s_sift, 1) + 2
 
 
 class TestSerialize:

@@ -41,8 +41,6 @@ class TestCacheKey:
             ("use_bdd_mapping", False),
             ("reorder", False),
             ("sift_size_limit", 123),
-            ("autoreorder", 500),
-            ("autoreorder_method", "window3"),
             ("sharing", False),
             ("final_sweep", False),
             ("sweep_merge_equivalent", False),
@@ -66,9 +64,10 @@ class TestCacheKey:
 
     def test_non_semantic_fields_do_not_change_the_key(self):
         reference = BDSOptions().cache_key()
-        # Snapshots from revisions that had a ``jobs`` option still load,
-        # and key like the defaults.
-        assert BDSOptions.from_dict({"jobs": 4}).cache_key() == reference
+        # Snapshots from revisions that had a ``jobs`` option or dynamic
+        # reordering still load, and key like the defaults.
+        old = {"jobs": 4, "autoreorder": 500, "autoreorder_method": "window3"}
+        assert BDSOptions.from_dict(old).cache_key() == reference
         assert BDSOptions(check_level="full").cache_key() == reference
 
     def test_roundtrip_through_dict(self):

@@ -416,20 +416,6 @@ class TestEliminateBdd:
         back = part.to_network()
         assert _exhaustive_equivalent(ref, back)
 
-    def test_mapping_keeps_autoreorder_armed(self):
-        # BDD mapping installs a fresh manager; the autoreorder arming
-        # must follow it (as the tracer does), or eliminate runs unarmed
-        # after its first mapping.
-        net = build_circuit("C880")
-        sweep(net)
-        part = PartitionedNetwork.from_network(net)
-        part.mgr.enable_autoreorder(200, "window3")
-        part.eliminate()
-        assert part.mapping_count >= 2
-        assert part.mgr.autoreorder is not None
-        threshold, method = part.mgr.autoreorder
-        assert threshold >= 200 and method == "window3"
-
 
 def _random_network(rng, n_inputs=6, n_nodes=12):
     net = Network("rand")
