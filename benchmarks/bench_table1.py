@@ -14,7 +14,7 @@ different mapper); the assertions check the *shape*.
 
 import pytest
 
-from common import format_table, run_system, write_kernel_json
+from common import format_table, run_system, write_bench_json
 from conftest import register_table
 from repro.circuits import TABLE1_CIRCUITS, build_circuit
 from repro.perf import merge_snapshots
@@ -143,4 +143,4 @@ def _emit_kernel_json(tot):
         },
         "per_circuit": per_circuit,
     }
-    write_kernel_json(payload)
+    write_bench_json(payload, "BENCH_kernel.json")

@@ -97,8 +97,7 @@ def write_bench_json(payload: Dict, filename: str) -> str:
     """Write machine-readable bench metrics next to the text tables.
 
     Future PRs diff these files to track the perf trajectory.  Every
-    ``BENCH_*.json`` baseline has one location, the results dir;
-    ``aggregate_bench_json`` folds all of them into ``BENCH_all.json``.
+    ``BENCH_*.json`` baseline has one location, the results dir.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, filename)
@@ -108,31 +107,6 @@ def write_bench_json(payload: Dict, filename: str) -> str:
     return path
 
 
-def write_kernel_json(payload: Dict, filename: str = "BENCH_kernel.json") -> str:
-    """Write the kernel-health metrics (ops/sec, peak live nodes, cache
-    hit rate, table CPU/mem totals) tracked across PRs."""
-    return write_bench_json(payload, filename)
-
-
-def aggregate_bench_json(filename: str = "BENCH_all.json") -> Dict:
-    """Merge every committed ``BENCH_*.json`` baseline into one document.
-
-    The aggregate maps each baseline's short name (``kernel`` for
-    ``BENCH_kernel.json``, ...) to its payload and is written next to
-    them like any other baseline.  Run directly as
-    ``python benchmarks/common.py`` after regenerating benchmarks.
-    """
-    merged: Dict[str, Dict] = {}
-    for name in sorted(os.listdir(RESULTS_DIR)):
-        if (not name.startswith("BENCH_") or not name.endswith(".json")
-                or name == filename):
-            continue
-        with open(os.path.join(RESULTS_DIR, name)) as fh:
-            merged[name[len("BENCH_"):-len(".json")]] = json.load(fh)
-    write_bench_json(merged, filename)
-    return merged
-
-
 def format_table(title: str, header: str, rows: list, footer: str = "") -> str:
     lines = [title, "-" * len(header), header, "-" * len(header)]
     lines.extend(rows)
@@ -140,9 +114,3 @@ def format_table(title: str, header: str, rows: list, footer: str = "") -> str:
     if footer:
         lines.append(footer)
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    merged = aggregate_bench_json()
-    print("BENCH_all.json: merged %d baseline(s): %s"
-          % (len(merged), ", ".join(sorted(merged))))

@@ -19,7 +19,7 @@ The constant ``ONE`` is ref ``0`` and ``ZERO`` is its complement, ref ``1``.
 """
 
 from repro.bdd.manager import BDD, ONE, ZERO, TERMINAL, BddBudgetExceeded
-from repro.bdd.ops import and_exists, rename_vars, swap_vars
+from repro.bdd.ops import and_exists
 from repro.bdd.transfer import structure_key, transfer, transfer_many
 from repro.bdd.reorder import sift, random_order, force_order
 from repro.bdd.dot import to_dot
@@ -31,9 +31,7 @@ __all__ = [
     "ZERO",
     "TERMINAL",
     "and_exists",
-    "rename_vars",
     "structure_key",
-    "swap_vars",
     "transfer",
     "transfer_many",
     "sift",

@@ -524,15 +524,6 @@ class BDD:
     def xnor_(self, f: int, g: int) -> int:
         return self.ite(f, g, g ^ 1)
 
-    def nand_(self, f: int, g: int) -> int:
-        return self.and_(f, g) ^ 1
-
-    def nor_(self, f: int, g: int) -> int:
-        return self.or_(f, g) ^ 1
-
-    def implies(self, f: int, g: int) -> int:
-        return self.ite(f, g, ONE)
-
     def and_many(self, refs: Sequence[int]) -> int:
         """Conjunction by balanced-tree reduction.
 
@@ -730,9 +721,6 @@ class BDD:
             r = self.mk(self.var_of(f), r0, r1)
         self._cache.insert(key, r)
         return r
-
-    def forall(self, f: int, variables: Iterable[int]) -> int:
-        return self.exists(f ^ 1, variables) ^ 1
 
     # ------------------------------------------------------------------
     # Garbage collection

@@ -3,12 +3,12 @@
 ``and_exists`` is the classic relational product (conjunction fused with
 existential quantification, avoiding the intermediate conjunction blowup);
 it accelerates the image computations of the satisfiability don't-care
-pass.  ``swap_vars`` and ``rename_vars`` are substitution conveniences.
+pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable
 
 from repro.bdd.manager import BDD, ONE, ZERO
 
@@ -62,22 +62,3 @@ def _and_exists(mgr: BDD, f: int, g: int, levels: FrozenSet[int],
         r = mgr.mk(var, r0, r1)
     mgr._cache.insert(key, r)
     return r
-
-
-def rename_vars(mgr: BDD, f: int, mapping: Dict[int, int]) -> int:
-    """Substitute variables by variables (a pure renaming).
-
-    The mapping must be injective on the support; renamed functions are
-    rebuilt through ITE so arbitrary level changes are allowed.
-    """
-    subst = {old: mgr.var_ref(new) for old, new in mapping.items()}
-    return mgr.vector_compose(f, subst)
-
-
-def swap_vars(mgr: BDD, f: int, pairs: Iterable[Tuple[int, int]]) -> int:
-    """Exchange variable pairs simultaneously (x<->y for each pair)."""
-    mapping: Dict[int, int] = {}
-    for a, b in pairs:
-        mapping[a] = b
-        mapping[b] = a
-    return rename_vars(mgr, f, mapping)

@@ -39,20 +39,23 @@ from repro.obs.trace import CounterSource, Span, Tracer
 from repro.perf import merge_snapshots
 from repro.verify import VERIFY_MODES, require_equivalent
 
+#: Sifting leaves a supernode's order as it is when its BDD starts out
+#: larger than this many nodes.
+SIFT_SIZE_LIMIT = 20_000
+
 
 @dataclass
 class BDSOptions:
-    """Knobs of the BDS flow; defaults match the paper's described setup."""
+    """The settings callers vary; every other step of the flow is fixed.
 
-    eliminate_threshold: int = 0
-    eliminate_size_cap: int = 1000
-    use_bdd_mapping: bool = True
-    reorder: bool = True
-    sift_size_limit: int = 20000
+    The flow always sweeps with functional merge, eliminates with
+    :meth:`PartitionedNetwork.eliminate`'s defaults, sifts every
+    non-constant supernode (up to :data:`SIFT_SIZE_LIMIT` nodes),
+    decomposes it under ``decomp``, extracts sharing and sweeps the
+    lowered network once more.
+    """
+
     decomp: DecompOptions = field(default_factory=DecompOptions)
-    sharing: bool = True
-    final_sweep: bool = True
-    sweep_merge_equivalent: bool = True
     # Section VI item 3 (future work in the paper, implemented here):
     # depth-balance the factoring trees before sharing extraction.
     balance_trees: bool = False
@@ -67,14 +70,13 @@ class BDSOptions:
     # First-class result verification (Section V): compare the optimized
     # network against the input inside the flow.  Up to 20 inputs every
     # mode compares full truth tables, a proof; above that "sim" simulates
-    # random patterns, "cec" builds global BDDs with a size cap, "full" is
-    # CEC plus a simulation cross-check of capped outputs.
+    # random patterns, "cec" builds global BDDs capped at
+    # repro.verify.DEFAULT_SIZE_CAP nodes, "full" is CEC plus a
+    # simulation cross-check of capped outputs.
     # A mismatch raises repro.verify.VerifyError with the counterexample;
     # capped outputs land in BDSResult.verify_unknown_outputs and the
     # verify_outputs_checked / verify_unknown counters in BDSResult.perf.
     verify: str = "off"
-    verify_size_cap: int = 2_000_000
-    verify_seed: int = 1355
     # Wall-clock budget (seconds) for the BDD proof attempt above 20
     # inputs.  None means "as long as the flow itself took" --
     # verification then never dominates the run, and outputs not proven
@@ -212,8 +214,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
 
     with tr.span("flow", circuit=net.name, verify=opts.verify) as root:
         with tr.span("flow.sweep"):
-            sweep(work, merge_equivalent=opts.sweep_merge_equivalent,
-                  perf_sink=counters.add)
+            sweep(work, perf_sink=counters.add)
             checker.check_network(work, "network after initial sweep")
 
         with tr.span("flow.eliminate") as span:
@@ -221,10 +222,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
             part.mgr.tracer = tr
             counters.live.append(part.perf_snapshot)
             checker.check_partition(part, "partition after construction")
-            span.attrs.update(part.eliminate(
-                threshold=opts.eliminate_threshold,
-                size_cap=opts.eliminate_size_cap,
-                use_mapping=opts.use_bdd_mapping, checker=checker))
+            span.attrs.update(part.eliminate(checker=checker))
             checker.check_partition(part, "partition after eliminate")
 
         with tr.span("flow.sdc"):
@@ -239,8 +237,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                 trees = balance_forest(trees)
 
         with tr.span("flow.sharing"):
-            if opts.sharing:
-                trees = extract_sharing(trees, perf_sink=counters.add)
+            trees = extract_sharing(trees, perf_sink=counters.add)
 
         with tr.span("flow.lower"):
             gate_net = trees_to_network(trees, inputs=work.inputs,
@@ -249,10 +246,9 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
             # drop a supernode's dependence on another supernode,
             # stranding that tree; reachability pruning is a
             # well-formedness requirement of the output (the lint below
-            # enforces it), not part of the optional sweep.
+            # enforces it).
             gate_net.remove_dangling()
-            if opts.final_sweep:
-                sweep(gate_net, merge_equivalent=False)
+            sweep(gate_net, merge_equivalent=False)
             checker.check_network(gate_net, "network after lowering")
 
         verify_unknown: List[str] = []
@@ -266,10 +262,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                 deadline = (None if budget == float("inf")
                             else time.monotonic() + budget)
                 outcome = require_equivalent(
-                    net, gate_net, mode=opts.verify,
-                    size_cap=opts.verify_size_cap,
-                    seed=opts.verify_seed,
-                    deadline=deadline,
+                    net, gate_net, mode=opts.verify, deadline=deadline,
                     subject="BDS result for %r" % net.name,
                     perf_sink=counters.add)
                 verify_unknown = outcome.unknown_outputs
@@ -326,8 +319,8 @@ def _decompose_supernode(src: BDD, ref: int, name: str, opts: BDSOptions,
     mgr, root = moved.manager, moved.refs[0]
     counters.live.append(mgr.perf_snapshot)
     mgr.tracer = tracer
-    if opts.reorder and not mgr.is_const(root):
-        sift(mgr, [root], size_limit=opts.sift_size_limit)
+    if not mgr.is_const(root):
+        sift(mgr, [root], size_limit=SIFT_SIZE_LIMIT)
     stats = DecompStats()
     tree = decompose(mgr, root, options=opts.decomp, stats=stats)
     if opts.check_level != "off":

@@ -660,8 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the fresh payload as JSON (the "
                             "BENCH_flow.json format)")
     p_ben.add_argument("--compare", metavar="BASELINE",
-                       help="diff against a baseline payload or a "
-                            "BENCH_all.json aggregate; exit 0/1/2")
+                       help="diff against a baseline payload (the "
+                            "BENCH_flow.json format); exit 0/1/2")
     p_ben.add_argument("--cpu-tol", type=float, default=0.25,
                        help="relative CPU tolerance for --compare "
                             "(default 0.25; node/literal counts are "

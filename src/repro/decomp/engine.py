@@ -34,23 +34,25 @@ from repro.decomp.generalized import (
 from repro.decomp.xordec import boolean_xnor_candidates
 
 
+#: Boolean XNOR and the functional MUX may grow the total node count by
+#: this many nodes: the parts routinely expose further dominators
+#: (Example 6).
+XNOR_SLACK = 2
+
+
 @dataclass
 class DecompOptions:
-    """Feature switches and tuning knobs for the decomposition engine."""
+    """Which decomposition families the engine searches (for ablations).
+
+    Every level's factoring tree is checked against its BDD with ITE
+    before it is used.
+    """
 
     enable_simple: bool = True          # 1-/0-/x-dominators
     enable_x_dominator: bool = True     # the XNOR member of the simple set
     enable_mux: bool = True             # functional MUX (Theorem 7)
     enable_generalized: bool = True     # Boolean AND/OR (Lemmas 1-2)
     enable_bool_xnor: bool = True       # Boolean XNOR (Theorem 6)
-    verify: bool = True                 # re-check every identity with ITE
-    max_xnor_candidates: int = 8
-    # A generalized decomposition is accepted only when it shrinks the
-    # total node count by this factor (1.0 = any strict improvement).
-    min_gain: float = 1.0
-    # Boolean XNOR is allowed to grow the total node count by this many
-    # nodes: the parts routinely expose further dominators (Example 6).
-    xnor_slack: int = 2
 
 
 @dataclass
@@ -148,13 +150,12 @@ def _decompose(mgr: BDD, f: int, opts: DecompOptions, stats: DecompStats,
     if tree is None:
         tree = _shannon(mgr, f, opts, stats, memo, sizes, checked)
 
-    if opts.verify:
-        # ``checked`` maps the id() of every tree already verified (and
-        # kept alive by ``memo``) to its ref, so only this level's new
-        # operators are rebuilt: by induction the whole tree denotes f.
-        assert tree.to_bdd(mgr, known=checked) == f, \
-            "decomposition verification failed"
-        checked[id(tree)] = f
+    # ``checked`` maps the id() of every tree already verified (and kept
+    # alive by ``memo``) to its ref, so only this level's new operators
+    # are rebuilt: by induction the whole tree denotes f.
+    assert tree.to_bdd(mgr, known=checked) == f, \
+        "decomposition verification failed"
+    checked[id(tree)] = f
     memo[f] = tree
     return tree
 
@@ -192,12 +193,12 @@ def _try_structural(mgr, f, size, cuts, opts, stats, memo, sizes,
             parts = [sizes(p) for p in (d.upper,) + d.parts]
             if any(s >= size for s in parts):
                 continue
-            if sum(parts) > size + opts.xnor_slack:
+            if sum(parts) > size + XNOR_SLACK:
                 continue
             scored.append(((max(parts), sum(parts), 1), ("mux", d)))
     if opts.enable_generalized:
         bound = Bound(mgr, min((score for score, _ in scored), default=None),
-                      size, support(mgr, f), opts.min_gain, sizes)
+                      size, support(mgr, f), sizes)
         for c in (conjunctive_candidates(mgr, f, cuts, bound)
                   + disjunctive_candidates(mgr, f, cuts, bound)):
             score = bound.score(sizes(c.divisor), sizes(c.quotient))
@@ -246,12 +247,12 @@ def _try_boolean_xnor(mgr, f, size, opts, stats, memo, sizes,
                       checked) -> Optional[FTree]:
     best = None
     best_score = None
-    for c in boolean_xnor_candidates(mgr, f, opts.max_xnor_candidates):
+    for c in boolean_xnor_candidates(mgr, f):
         sg = sizes(c.g)
         sh = sizes(c.h)
         if sg >= size or sh >= size:
             continue
-        if sg + sh > size + opts.xnor_slack:
+        if sg + sh > size + XNOR_SLACK:
             continue
         score = (max(sg, sh), sg + sh)
         if best is None or score < best_score:

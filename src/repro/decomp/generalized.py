@@ -53,29 +53,26 @@ class Bound:
 
     ``best`` is the lowest score found so far in the engine's search (None
     before the first); ``size`` and ``support`` are F's node count and
-    support; ``min_gain`` is ``DecompOptions.min_gain``; ``sizes`` counts
-    a ref's nodes.  A search sets ``best`` to the score of each candidate
-    it keeps.
+    support; ``sizes`` counts a ref's nodes.  A search sets ``best`` to
+    the score of each candidate it keeps.
     """
 
-    __slots__ = ("mgr", "best", "size", "support", "min_gain", "sizes")
+    __slots__ = ("mgr", "best", "size", "support", "sizes")
 
     def __init__(self, mgr: BDD, best: Optional[Score], size: int,
-                 support: Set[int], min_gain: float,
-                 sizes: Callable[[int], int]) -> None:
+                 support: Set[int], sizes: Callable[[int], int]) -> None:
         self.mgr = mgr
         self.best = best
         self.size = size
         self.support = support
-        self.min_gain = min_gain
         self.sizes = sizes
 
     def score(self, sd: int, sq: int) -> Optional[Score]:
         """The score of a candidate with parts of ``sd`` and ``sq`` nodes,
-        or None when it fails the size and ``min_gain`` filters."""
+        or None when it fails the size filters."""
         if sd >= self.size or sq >= self.size:
             return None
-        if (sd + sq) * self.min_gain >= self.size + 1:
+        if sd + sq > self.size:
             return None
         return (max(sd, sq), sd + sq, 2)
 

@@ -16,7 +16,7 @@ Modules
 from repro.network.network import Network, Node
 from repro.network.blif import parse_blif, write_blif
 from repro.network.sweep import sweep
-from repro.network.eliminate import eliminate_bdd, eliminate_literal
+from repro.network.eliminate import eliminate_literal
 
 __all__ = [
     "Network",
@@ -24,6 +24,5 @@ __all__ = [
     "parse_blif",
     "write_blif",
     "sweep",
-    "eliminate_bdd",
     "eliminate_literal",
 ]

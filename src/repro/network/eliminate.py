@@ -4,7 +4,7 @@ Two variants, mirroring Fig. 12:
 
 * :func:`eliminate_literal` -- the SIS-style eliminate working on cube
   covers with the literal-count value function.
-* :class:`PartitionedNetwork` / :func:`eliminate_bdd` -- the BDS-style
+* :class:`PartitionedNetwork` -- the BDS-style
   eliminate of Section IV-B: every node holds a *local BDD* over its fanin
   signals (each Boolean node owns an intermediate BDD variable), the value
   function is the BDD node count, and the manager is periodically compacted
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.bdd import BDD, transfer_many
 from repro.bdd.isop import isop
-from repro.bdd.traverse import node_count, shared_node_count, support_and_size
+from repro.bdd.traverse import node_count, support_and_size
 from repro.network.cones import cover_bdd
 from repro.network.network import Network, Node
 from repro.perf import merge_snapshots
@@ -240,9 +240,6 @@ class PartitionedNetwork:
         """Signal -> consumer nodes, in ``refs`` order (a copy)."""
         return {sig: list(readers) for sig, readers in self._fanouts.items()}
 
-    def total_bdd_nodes(self) -> int:
-        return shared_node_count(self.mgr, list(self.refs.values()))
-
     def perf_snapshot(self) -> Dict[str, float]:
         """Kernel counters of every manager this partition has owned."""
         return merge_snapshots([self._retired_perf, self.mgr.perf_snapshot()])
@@ -407,12 +404,3 @@ class PartitionedNetwork:
             net.add_node(node_name, sig_fanins, cover)
         net.check()
         return net
-
-
-def eliminate_bdd(net: Network, threshold: int = 0, size_cap: int = 1000,
-                  use_mapping: bool = True) -> PartitionedNetwork:
-    """Convenience wrapper: build the partitioned form and run eliminate."""
-    part = PartitionedNetwork.from_network(net)
-    part.eliminate(threshold=threshold, size_cap=size_cap,
-                   use_mapping=use_mapping)
-    return part

@@ -176,16 +176,10 @@ def _work(run: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def load_baseline(path: str) -> Dict[str, Any]:
-    """Load a baseline payload from a bench JSON file.
-
-    Accepts either a raw payload (has ``circuits``) or a
-    ``BENCH_all.json`` aggregate (payload nested under ``flow``).
-    """
+    """Load a baseline payload (``BENCH_flow.json``'s format) from a
+    bench JSON file."""
     with open(path) as fh:
         obj = json.load(fh)
-    if isinstance(obj, dict) and "circuits" not in obj \
-            and isinstance(obj.get("flow"), dict):
-        obj = obj["flow"]
     if not isinstance(obj, dict) or not isinstance(obj.get("circuits"), dict):
         raise ValueError("%s: no 'circuits' payload found "
                          "(not a bench baseline?)" % path)

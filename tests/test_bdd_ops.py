@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bdd import BDD, ONE, ZERO, and_exists, rename_vars, swap_vars
+from repro.bdd import BDD, ONE, ZERO, and_exists
 from repro.mapping import map_network
 
 
@@ -46,22 +46,6 @@ class TestAndExists:
         a, b = mgr.new_var("a"), mgr.new_var("b")
         ra, rb = mgr.var_ref(a), mgr.var_ref(b)
         assert and_exists(mgr, ra, rb, []) == mgr.and_(ra, rb)
-
-
-class TestRenameSwap:
-    def test_rename(self, mgr):
-        a, b, c = (mgr.new_var(n) for n in "abc")
-        f = mgr.and_(mgr.var_ref(a), mgr.var_ref(b))
-        g = rename_vars(mgr, f, {a: c})
-        assert g == mgr.and_(mgr.var_ref(c), mgr.var_ref(b))
-
-    def test_swap(self, mgr):
-        a, b = mgr.new_var("a"), mgr.new_var("b")
-        f = mgr.and_(mgr.var_ref(a), mgr.var_ref(b) ^ 1)
-        g = swap_vars(mgr, f, [(a, b)])
-        assert g == mgr.and_(mgr.var_ref(b), mgr.var_ref(a) ^ 1)
-        # Swapping twice is the identity.
-        assert swap_vars(mgr, g, [(a, b)]) == f
 
 
 class TestDelayModeMapping:

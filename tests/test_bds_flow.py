@@ -91,15 +91,6 @@ class TestBdsFlow:
             assert check.equivalent, (
                 trial, check.failing_output, check.counterexample)
 
-    def test_options_no_sharing_no_reorder(self):
-        rng = random.Random(11)
-        net = _random_network(rng)
-        opts = BDSOptions(sharing=False, reorder=False)
-        result = bds_optimize(net)
-        result2 = bds_optimize(net, opts)
-        assert check_equivalence(net, result.network).equivalent
-        assert check_equivalence(net, result2.network).equivalent
-
     def test_decomp_disabled_fallback(self):
         rng = random.Random(13)
         net = _random_network(rng)

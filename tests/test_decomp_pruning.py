@@ -7,7 +7,7 @@ Here the two search names in ``repro.decomp.engine`` are wrapped to drop
 the bound, which gives back the unpruned search.  On the same function,
 built in two identical managers, both engines must return equal factoring
 trees and equal :class:`DecompStats`, under every family switch of
-:class:`DecompOptions` and two ``min_gain`` values.
+:class:`DecompOptions`.
 """
 
 import random
@@ -23,12 +23,9 @@ from repro.decomp.engine import DecompOptions, DecompStats, decompose
 from repro.network import sweep
 from repro.network.eliminate import PartitionedNetwork
 
-FAMILY_SWITCHES = [{}, {"enable_simple": False},
-                   {"enable_x_dominator": False}, {"enable_mux": False},
-                   {"enable_generalized": False}, {"enable_bool_xnor": False}]
-
-CONFIGS = [dict(switch, min_gain=gain) for gain in (1.0, 1.5)
-           for switch in FAMILY_SWITCHES]
+CONFIGS = [{}, {"enable_simple": False}, {"enable_x_dominator": False},
+           {"enable_mux": False}, {"enable_generalized": False},
+           {"enable_bool_xnor": False}]
 
 
 def _random_expression(mgr, refs, rng, n_ops):
@@ -113,7 +110,8 @@ def _run(src, ref, options):
 
 @pytest.mark.parametrize("config", CONFIGS,
                          ids=lambda c: "-".join("%s=%s" % kv
-                                                for kv in sorted(c.items())))
+                                                for kv in sorted(c.items()))
+                         or "default")
 def test_pruned_search_decides_as_the_full_search(config, corpus,
                                                   monkeypatch):
     options = DecompOptions(**config)

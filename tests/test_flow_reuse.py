@@ -30,14 +30,12 @@ VARIANTS = {
     "default": {},
     "balance_trees": {"balance_trees": True},
     "check_full": {"check_level": "full"},
-    "no_reorder": {"reorder": False},
 }
 
 #: Variants that take 15-35 s over the corpus on a 2-core Xeon, so they
 #: run with the perf-marked tests (``pytest -m perf``).
 SLOW_VARIANTS = {
     "use_sdc": {"use_sdc": True},
-    "eliminate_10": {"eliminate_threshold": 10},
 }
 
 

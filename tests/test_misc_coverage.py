@@ -1,13 +1,12 @@
 """Edge-case and failure-injection tests across smaller modules: DOT
-export, verifier caps and mismatches, eliminate corner cases, decomposition
-option knobs, and transfer error handling."""
+export, verifier caps and mismatches, eliminate corner cases, and
+transfer error handling."""
 
 import itertools
 
 import pytest
 
 from repro.bdd import BDD, ONE, ZERO, to_dot, transfer_many
-from repro.decomp import DecompOptions, decompose
 from repro.network import Network, parse_blif, write_blif
 from repro.network.eliminate import PartitionedNetwork, collapse_node_into
 from repro.sop.cube import lit
@@ -88,34 +87,6 @@ class TestEliminateEdges:
         removed = part.remove_dangling()
         assert removed >= 1
         assert "y" in part.refs
-
-    def test_total_bdd_nodes(self):
-        net = Network()
-        for nm in "ab":
-            net.add_input(nm)
-        net.add_output("y")
-        net.add_and("y", ["a", "b"])
-        part = PartitionedNetwork.from_network(net)
-        assert part.total_bdd_nodes() == 2
-
-
-class TestDecompOptions:
-    def test_min_gain_blocks_generalized(self):
-        mgr = BDD()
-        e, d, b = (mgr.new_var(n) for n in "edb")
-        f = mgr.or_(mgr.var_ref(e) ^ 1,
-                    mgr.and_(mgr.var_ref(b) ^ 1, mgr.var_ref(d)))
-        strict = DecompOptions(min_gain=5.0, enable_simple=False,
-                               enable_mux=False, enable_bool_xnor=False)
-        tree = decompose(mgr, f, options=strict)
-        assert tree.to_bdd(mgr) == f  # falls back to Shannon, still correct
-
-    def test_verify_flag_off(self):
-        mgr = BDD()
-        vs = [mgr.new_var() for _ in range(4)]
-        f = mgr.xor_many([mgr.var_ref(v) for v in vs])
-        tree = decompose(mgr, f, options=DecompOptions(verify=False))
-        assert tree.to_bdd(mgr) == f
 
 
 class TestTransferEdges:

@@ -158,12 +158,6 @@ class TestLoadBaseline:
         assert load_baseline(str(path))["circuits"].keys() \
             == BASE["circuits"].keys()
 
-    def test_bench_all_aggregate_nests_under_flow(self, tmp_path):
-        path = tmp_path / "BENCH_all.json"
-        path.write_text(json.dumps({"kernel": {"x": 1}, "flow": BASE}))
-        assert load_baseline(str(path))["circuits"].keys() \
-            == BASE["circuits"].keys()
-
     def test_non_baseline_raises(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"kernel": {"x": 1}}))

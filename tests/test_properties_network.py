@@ -16,7 +16,7 @@ from repro.network import (
     sweep,
     write_blif,
 )
-from repro.network.eliminate import eliminate_bdd
+from repro.network.eliminate import PartitionedNetwork
 from repro.sis import script_rugged
 from repro.sop.cube import lit
 
@@ -100,7 +100,8 @@ def test_eliminate_literal_preserves_function(net, threshold):
 @given(networks(), st.integers(2, 40))
 def test_eliminate_bdd_preserves_function(net, size_cap):
     before = _truth(net)
-    part = eliminate_bdd(net, threshold=0, size_cap=size_cap)
+    part = PartitionedNetwork.from_network(net)
+    part.eliminate(threshold=0, size_cap=size_cap)
     back = part.to_network()
     # Outputs may now be driven through different node sets; compare by
     # name on the original interface.

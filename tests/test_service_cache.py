@@ -20,7 +20,7 @@ from repro.verify import verify_networks
 
 class TestCacheKey:
     def test_stable_across_field_order_permutations(self):
-        base = BDSOptions(eliminate_threshold=2, reorder=False,
+        base = BDSOptions(balance_trees=True, use_sdc=True,
                           verify="cec").to_dict()
         reference = BDSOptions.from_dict(base).cache_key()
         rng = random.Random(7)
@@ -36,19 +36,9 @@ class TestCacheKey:
     def test_key_changes_when_any_semantic_field_changes(self):
         reference = BDSOptions().cache_key()
         semantic = [
-            ("eliminate_threshold", 3),
-            ("eliminate_size_cap", 77),
-            ("use_bdd_mapping", False),
-            ("reorder", False),
-            ("sift_size_limit", 123),
-            ("sharing", False),
-            ("final_sweep", False),
-            ("sweep_merge_equivalent", False),
             ("balance_trees", True),
             ("use_sdc", True),
             ("verify", "cec"),
-            ("verify_size_cap", 999),
-            ("verify_seed", 2),
             ("verify_budget", 1.5),
         ]
         seen = {reference}
@@ -64,14 +54,22 @@ class TestCacheKey:
 
     def test_non_semantic_fields_do_not_change_the_key(self):
         reference = BDSOptions().cache_key()
-        # Snapshots from revisions that had a ``jobs`` option or dynamic
-        # reordering still load, and key like the defaults.
-        old = {"jobs": 4, "autoreorder": 500, "autoreorder_method": "window3"}
+        # Snapshots from revisions that had a ``jobs`` option, dynamic
+        # reordering, or a setting for a step the flow now fixes still
+        # load, and key like the defaults.
+        old = {"jobs": 4, "autoreorder": 500, "autoreorder_method": "window3",
+               "eliminate_threshold": 3, "eliminate_size_cap": 77,
+               "use_bdd_mapping": False, "reorder": False,
+               "sift_size_limit": 123, "sharing": False,
+               "final_sweep": False, "sweep_merge_equivalent": False,
+               "verify_size_cap": 999, "verify_seed": 2,
+               "decomp": {"verify": False, "max_xnor_candidates": 3,
+                          "min_gain": 1.5, "xnor_slack": 0}}
         assert BDSOptions.from_dict(old).cache_key() == reference
         assert BDSOptions(check_level="full").cache_key() == reference
 
     def test_roundtrip_through_dict(self):
-        opts = BDSOptions(eliminate_threshold=5, verify="full",
+        opts = BDSOptions(balance_trees=True, verify="full",
                           decomp=DecompOptions(enable_generalized=False))
         again = BDSOptions.from_dict(opts.to_dict())
         assert again == opts
@@ -221,7 +219,8 @@ class TestFlowShortCircuit:
     def test_semantically_different_options_do_not_share(self, tmp_path):
         service = self._service(tmp_path)
         service.optimize_one(self._request(BDSOptions()))
-        other = service.optimize_one(self._request(BDSOptions(reorder=False)))
+        other = service.optimize_one(
+            self._request(BDSOptions(balance_trees=True)))
         assert other.ok and not other.cached
         assert other.perf["artifact_cache_misses"] == 1
 

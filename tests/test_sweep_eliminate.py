@@ -9,9 +9,9 @@ import weakref
 
 import pytest
 
-from repro.bds.flow import BDSOptions, bds_optimize
+from repro.bds import bds_optimize, flow
 from repro.circuits import build_circuit, random_logic
-from repro.network import Network, eliminate_bdd, eliminate_literal, sweep
+from repro.network import Network, eliminate_literal, sweep
 from repro.network.blif import write_blif
 from repro.network.eliminate import PartitionedNetwork, collapse_node_into
 from repro.network.sweep import substitute_fanin
@@ -238,11 +238,20 @@ class TestSweepConverges:
                                "z": (["y"], [frozenset({lit(0)})])}
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_service_shape_never_reaches_the_cap(self, seed):
+    def test_service_shape_never_reaches_the_cap(self, seed, monkeypatch):
         # The raw netlist, and the lowered BDS network before its final
-        # sweep: the second is where duplicate outputs are common.
+        # sweep: the second is where duplicate outputs are common.  The
+        # flow's second sweep call receives the lowered network.
         net = random_logic(24, 64, 24, seed=seed)
-        lowered = bds_optimize(net, BDSOptions(final_sweep=False)).network
+        received = []
+
+        def recording(work, *args, **kwargs):
+            received.append(work.copy())
+            return sweep(work, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "sweep", recording)
+        bds_optimize(net)
+        _swept, lowered = received
         for subject in (net, lowered):
             for merge_equivalent in (True, False):
                 work = subject.copy()
@@ -361,7 +370,8 @@ class TestEliminateBdd:
         net = small_circuit()
         ref = net.copy()
         sweep(net)
-        part = eliminate_bdd(net, threshold=0, size_cap=100)
+        part = PartitionedNetwork.from_network(net)
+        part.eliminate(threshold=0, size_cap=100)
         back = part.to_network()
         assert _exhaustive_equivalent(ref, back)
 
@@ -373,7 +383,8 @@ class TestEliminateBdd:
         net.add_and("t1", ["a", "b"])
         net.add_and("t2", ["c", "d"])
         net.add_or("y", ["t1", "t2"])
-        part = eliminate_bdd(net, threshold=0, size_cap=100)
+        part = PartitionedNetwork.from_network(net)
+        part.eliminate(threshold=0, size_cap=100)
         # Everything should collapse into the single output supernode.
         assert set(part.refs) == {"y"}
 
@@ -390,7 +401,8 @@ class TestEliminateBdd:
             cur = "t%d" % i if i < 7 else "y"
             net.add_xor(cur, [prev, n])
             prev = cur
-        part = eliminate_bdd(net, threshold=0, size_cap=3)
+        part = PartitionedNetwork.from_network(net)
+        part.eliminate(threshold=0, size_cap=3)
         assert len(part.refs) > 1
 
     def test_mapping_compacts_variables(self):
@@ -403,7 +415,8 @@ class TestEliminateBdd:
         net.add_and("t3", ["t2", "d"])
         net.add_and("t4", ["t3", "e"])
         net.add_and("y", ["t4", "f"])
-        part = eliminate_bdd(net, threshold=0, size_cap=1000, use_mapping=True)
+        part = PartitionedNetwork.from_network(net)
+        part.eliminate(threshold=0, size_cap=1000, use_mapping=True)
         assert part.mapping_count >= 1
         # After full collapse only PI variables remain.
         assert part.mgr.num_vars <= len(net.inputs) + len(part.refs)
@@ -412,7 +425,8 @@ class TestEliminateBdd:
         rng = random.Random(99)
         net = _random_network(rng, n_inputs=6, n_nodes=15)
         ref = net.copy()
-        part = eliminate_bdd(net, threshold=2, size_cap=50)
+        part = PartitionedNetwork.from_network(net)
+        part.eliminate(threshold=2, size_cap=50)
         back = part.to_network()
         assert _exhaustive_equivalent(ref, back)
 
