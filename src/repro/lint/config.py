@@ -103,7 +103,8 @@ class LintConfig:
 
     # -- RPL006: fork-safety around scheduler workers ------------------
     #: Modules sanctioned to install signal handlers: the worker entry
-    #: arms SIGALRM *after* fork (the safe direction), and the socket
+    #: arms SIGALRM for each job *after* fork (the safe direction) and
+    #: restores the handler before the worker's next job, and the socket
     #: server owns the process's SIGTERM drain handler (installed in the
     #: main thread only; forked workers reset it to SIG_DFL).
     signal_handler_allow: Tuple[str, ...] = ("*/repro/service/scheduler.py",

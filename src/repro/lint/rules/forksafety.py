@@ -1,13 +1,15 @@
 """RPL006: fork-safety of the scheduler's worker processes.
 
-``repro.service.scheduler`` forks one process per job.  Two classes of
+``repro.service.scheduler`` forks long-lived worker processes, each of
+which runs job after job until one does not end ``ok``.  Two classes of
 state make that unsafe:
 
 * **Signal handlers** installed anywhere except the sanctioned worker
-  entry (``_child_main`` arms SIGALRM *after* the fork, inside the
-  child -- the safe direction).  A handler installed in the parent, or
-  at import time, is inherited by every worker and fires in a context
-  its author never considered; a handler installed by library code
+  entry (``_child_main`` arms SIGALRM for each job *after* the fork,
+  inside the child -- the safe direction -- and restores the handler
+  before the next job).  A handler installed in the parent, or at
+  import time, is inherited by every worker and fires in a context its
+  author never considered; a handler installed by library code
   clobbers the scheduler's own SIGALRM timeout contract.
 
 * **Module-level mutable state** in service modules.  With the default
@@ -66,10 +68,11 @@ class ForkSafetyRule(Rule):
     summary = ("signal handler installed outside the scheduler worker "
                "entry, or module-level mutable state in worker-shared "
                "modules")
-    rationale = ("scheduler workers are forked processes: inherited "
-                 "signal handlers clobber the SIGALRM timeout contract, "
-                 "and module-level mutable state silently diverges "
-                 "between parent and child")
+    rationale = ("scheduler workers are forked processes that run job "
+                 "after job: inherited signal handlers clobber the "
+                 "per-job SIGALRM timeout contract, and module-level "
+                 "mutable state silently diverges between parent and "
+                 "child")
 
     def check(self, module: SourceModule,
               config: LintConfig) -> Iterator[Finding]:

@@ -7,10 +7,10 @@ Production-facing layer over the BDS flow:
   already-verified optimization result is a proof object worth keeping.
   Index mutation is serialized across processes with an ``fcntl``
   advisory lock, so many ``repro batch`` runs can share one cache dir.
-* :mod:`repro.service.scheduler` -- async job scheduler over worker
-  processes: bounded queue, per-job wall-clock timeouts, cancellation,
-  worker-crash recovery, deterministic result ordering, completion
-  callbacks, one-verdict-per-job accounting.
+* :mod:`repro.service.scheduler` -- async job scheduler over reused
+  worker processes: bounded queue, per-job wall-clock timeouts,
+  cancellation, worker-crash recovery, deterministic result ordering,
+  completion callbacks, one-verdict-per-job accounting.
 * :mod:`repro.service.api` -- :class:`OptimizationService` routing every
   request through cache-lookup -> schedule -> cache-store (``repro
   batch``, ``repro optimize --cache-dir``); :class:`ServiceSession`

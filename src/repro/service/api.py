@@ -312,6 +312,8 @@ class OptimizationService:
             "scheduler": {
                 "queue_depth": registry.gauge_value("scheduler_queue_depth"),
                 "running": registry.gauge_value("scheduler_running"),
+                "workers_started": registry.counter_value(
+                    "scheduler_workers_started_total"),
                 "jobs_total": {
                     status: registry.counter_value("scheduler_jobs_total",
                                                    status=status)

@@ -23,6 +23,9 @@ Both transports (``docs/SERVICE.md``):
 * **Shutdown** -- ``{"cmd": "shutdown"}`` cancels the stream's
   outstanding requests (each still gets its ``cancelled`` reply, in
   order), acks, and closes the stream; on stdin that ends the daemon.
+* **Exit** -- every way a transport ends (drain, a second SIGTERM,
+  stdin EOF or ``shutdown``) runs the scheduler's ``shutdown``, which
+  also ends its idle workers, so the daemon leaves no process behind.
 
 What the transports still do differently:
 

@@ -12,13 +12,14 @@ import gc
 import multiprocessing
 import os
 import signal
+import socket
 import time
 import weakref
 
 import pytest
 
 from repro.bds.flow import BDSOptions
-from repro.circuits import build_circuit
+from repro.circuits import build_circuit, random_logic
 from repro.network.blif import parse_blif, write_blif
 from repro.service.scheduler import (OptimizationScheduler, SchedulerFull,
                                      optimize_job_worker)
@@ -72,6 +73,74 @@ def _sigterm_probe_worker(payload):
     return {"status": "ok",
             "sigterm_default":
                 signal.getsignal(signal.SIGTERM) is signal.SIG_DFL}
+
+
+def _pid_worker(payload):
+    return {"status": "ok", "pid": os.getpid()}
+
+
+def _lifecycle_worker(payload):
+    # Each way a job can end, by payload kind; "pid" reports the worker.
+    kind = payload["kind"]
+    if kind == "crash":
+        os._exit(9)
+    if kind == "sleep":
+        return _sleep_worker({})
+    if kind == "stubborn":
+        return _stubborn_worker({})
+    if kind == "fail":
+        return {"status": "failed", "error": "reported failure"}
+    if kind == "raise":
+        raise RuntimeError("worker raised")
+    return _pid_worker(payload)
+
+
+def _orphaning_parent(conn):
+    # Runs 2 jobs, reports the worker pids and dies without shutdown.
+    sched = OptimizationScheduler(max_workers=2, worker=_pid_worker)
+    verdicts = _Verdicts(sched)
+    for _ in range(2):
+        verdicts.submit({})
+    conn.send([r.value["pid"] for r in verdicts.wait(30)])
+    conn.close()
+    os._exit(0)
+
+
+def _stderr_worker(payload):
+    os.write(2, b"worker stderr\n")
+    return {"status": "ok"}
+
+
+def _stderr_socket_parent(conn):
+    # Runs a job whose worker writes to descriptor 2, a socket here (as
+    # under systemd), and reports what reached the socket's other end.
+    left, right = socket.socketpair()
+    os.dup2(left.fileno(), 2)
+    left.close()
+    with OptimizationScheduler(max_workers=1, worker=_stderr_worker) as sched:
+        _Verdicts(sched).run([{}])
+    right.settimeout(5)
+    try:
+        conn.send(right.recv(64))
+    except socket.timeout:
+        conn.send(b"")
+    conn.close()
+    os._exit(0)
+
+
+def _pid_alive(pid):
+    """Whether ``pid`` runs (a zombie waiting for its reaper does not)."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+def _workers_started():
+    from repro.obs.metrics import get_registry
+    return get_registry().counter_value("scheduler_workers_started_total")
 
 
 def _assert_no_leaked_children():
@@ -410,6 +479,168 @@ class TestForkSafety:
             signal.signal(signal.SIGTERM, previous)  # repro-lint: disable=RPL006
         assert results[0].status == "cancelled"
         assert took < 5.0        # terminate worked; no 30s wait
+        _assert_no_leaked_children()
+
+
+class TestWorkerReuse:
+    def test_two_workers_run_ten_jobs(self):
+        before = _workers_started()
+        with OptimizationScheduler(max_workers=2,
+                                   worker=_pid_worker) as sched:
+            verdicts = _Verdicts(sched)
+            for _ in range(10):
+                verdicts.submit({})
+            results = verdicts.wait(30)
+        assert all(r.ok for r in results) and len(results) == 10
+        assert len({r.value["pid"] for r in results}) == 2
+        assert _workers_started() == before + 2
+        _assert_no_leaked_children()
+
+    @pytest.mark.parametrize("kind,timeout,status", [
+        ("pid", None, "ok"),
+        ("crash", None, "failed"),
+        ("sleep", 0.3, "timeout"),         # graceful SIGALRM report
+        ("stubborn", 0.3, "timeout"),      # the deadline backstop
+        ("cancel", None, "cancelled"),
+        ("fail", None, "failed"),          # a reported failure
+        ("raise", None, "failed"),
+    ])
+    def test_only_an_ok_job_keeps_its_worker(self, kind, timeout, status):
+        with OptimizationScheduler(max_workers=1, worker=_lifecycle_worker,
+                                   grace=0.5) as sched:
+            verdicts = _Verdicts(sched)
+            first = verdicts.submit({"kind": "pid"})
+            middle = verdicts.submit(
+                {"kind": "sleep" if kind == "cancel" else kind},
+                timeout=timeout)
+            last = verdicts.submit({"kind": "pid"})
+            if kind == "cancel":
+                while middle not in sched._running:
+                    sched.poll()
+                    time.sleep(0.01)
+                assert sched.cancel(middle)
+            verdicts.wait(30)
+        results = verdicts.by_id
+        assert results[middle].status == status, results[middle]
+        pids = results[first].value["pid"], results[last].value["pid"]
+        assert (pids[0] == pids[1]) == (status == "ok")
+        _assert_no_leaked_children()
+
+    def test_idle_worker_dies_before_its_next_job(self):
+        with OptimizationScheduler(max_workers=1,
+                                   worker=_pid_worker) as sched:
+            verdicts = _Verdicts(sched)
+            first = verdicts.submit({})
+            pid = verdicts.wait(30)[0].value["pid"]
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while pid in [p.pid for p in multiprocessing.active_children()]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            second = verdicts.submit({})
+            verdicts.wait(30)
+        assert verdicts.by_id[first].ok
+        assert verdicts.by_id[second].ok       # not failed: a fresh worker
+        assert verdicts.by_id[second].value["pid"] != pid
+        _assert_no_leaked_children()
+
+    def test_unpicklable_payload_raises_before_a_worker_is_taken(self):
+        import threading
+
+        with OptimizationScheduler(max_workers=1,
+                                   worker=_pid_worker) as sched:
+            verdicts = _Verdicts(sched)
+            verdicts.submit({})
+            pid = verdicts.wait(30)[0].value["pid"]
+            with pytest.raises(TypeError):
+                sched.submit({"lock": threading.Lock()})
+            assert sched.outstanding == 0
+            verdicts.submit({})
+            assert verdicts.wait(30)[1].value["pid"] == pid
+
+    def test_unpicklable_payload_behind_a_running_job_raises_at_submit(self):
+        import threading
+
+        with OptimizationScheduler(max_workers=1,
+                                   worker=_sleep_worker) as sched:
+            verdicts = _Verdicts(sched)
+            running = verdicts.submit({"sleep": 0.5})
+            queued = verdicts.submit({"sleep": 0})
+            assert running in sched._running
+            with pytest.raises(TypeError):
+                verdicts.submit({"sleep": 0, "lock": threading.Lock()})
+            assert sched.outstanding == 2
+            results = verdicts.wait(30)
+        assert [r.job_id for r in results] == [running, queued]
+        assert all(r.ok for r in results)
+        _assert_no_leaked_children()
+
+    def test_worker_keeps_a_socket_stderr(self):
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_stderr_socket_parent, args=(writer,))
+        proc.start()
+        writer.close()
+        assert reader.poll(30), "the scheduler's parent never reported"
+        assert reader.recv() == b"worker stderr\n"
+        proc.join(10)
+
+    def test_idle_worker_holds_no_inherited_socket(self):
+        # A socket the parent opened before the fork: once the parent
+        # closes one end, the peer reads EOF although the worker that
+        # inherited both ends is still alive and idle.
+        left, right = socket.socketpair()
+        try:
+            with OptimizationScheduler(max_workers=1,
+                                       worker=_pid_worker) as sched:
+                verdicts = _Verdicts(sched)
+                verdicts.submit({})
+                pid = verdicts.wait(30)[0].value["pid"]
+                left.close()
+                right.settimeout(5)
+                assert right.recv(1) == b""
+                verdicts.submit({})
+                assert verdicts.wait(30)[1].value["pid"] == pid
+        finally:
+            left.close()
+            right.close()
+        _assert_no_leaked_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_dead_parent_leaves_no_worker(self):
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_orphaning_parent, args=(writer,))
+        proc.start()
+        writer.close()
+        assert reader.poll(30), "the scheduler's parent never reported"
+        pids = reader.recv()
+        proc.join(10)
+        assert len(set(pids)) == 2
+        deadline = time.monotonic() + 5.0
+        while any(_pid_alive(pid) for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.02)
+        alive = [pid for pid in pids if _pid_alive(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)   # leave nothing behind on failure
+        assert not alive
+
+    def test_reused_worker_answers_byte_identically(self):
+        target = {"blif": write_blif(build_circuit("C880")),
+                  "options": BDSOptions().to_dict()}
+        with OptimizationScheduler(max_workers=1) as sched:
+            verdicts = _Verdicts(sched)
+            verdicts.submit(target)
+            fresh = verdicts.wait(120)[0]
+        before = _workers_started()
+        others = [{"blif": write_blif(random_logic(16, 48, 8, seed=seed)),
+                   "options": BDSOptions().to_dict()} for seed in range(20)]
+        with OptimizationScheduler(max_workers=1) as sched:
+            results = _Verdicts(sched).run(others + [target])
+        assert _workers_started() == before + 1
+        assert all(r.ok for r in results)
+        assert fresh.ok and results[-1].value["blif"] == fresh.value["blif"]
         _assert_no_leaked_children()
 
 

@@ -293,6 +293,29 @@ class TestConnectionProtocol:
             assert reader.readline() == ""    # connection closed
             sock.close()
 
+    def test_shutdown_after_a_miss_reaches_eof(self, tmp_path):
+        # The miss forks a worker while this connection is open; once
+        # idle, that worker must not hold the connection open after the
+        # server closes it.  Both misses run in the one worker.
+        registry = get_registry()
+        before = registry.counter_value("scheduler_workers_started_total")
+        server = SocketServer(_scripted_service(max_workers=1),
+                              socket_path=str(tmp_path / "srv.sock"))
+        with _running(server):
+            sock, reader = _raw_connect(server.address)
+            _send_lines(sock, [{"id": "m0", "blif": "x"},
+                               {"id": "m1", "blif": "y"}])
+            assert [json.loads(reader.readline())["status"]
+                    for _ in range(2)] == ["ok", "ok"]
+            _send_lines(sock, [{"cmd": "stats"}])
+            stats = json.loads(reader.readline())["scheduler"]
+            assert stats["workers_started"] == before + 1
+            _send_lines(sock, [{"cmd": "shutdown"}])
+            assert json.loads(reader.readline()) == {"served": 2,
+                                                     "status": "ok"}
+            assert reader.readline() == ""    # connection closed
+            sock.close()
+
     def test_malformed_line_and_stats_over_socket(self, tmp_path):
         server = SocketServer(_scripted_service(max_workers=1),
                               socket_path=str(tmp_path / "srv.sock"))
