@@ -21,7 +21,7 @@ Mirrors how BDS itself was used as a tool::
         (--socket PATH | --port N [--host H]) [--timeout S]
         [--out-dir DIR] [--json]
     python -m repro.cli bench [circuits...] [--out FILE]
-        [--compare BASELINE] [--cpu-tol T]
+        [--compare BASELINE]
 
 Exit codes: 0 clean; 1 failure (verification mismatch, lint violation,
 fuzz find, failed/timed-out batch or client job, bench regression,
@@ -278,44 +278,52 @@ def _cmd_batch(args) -> int:
     t0 = time.perf_counter()
     responses = service.process(requests)
     elapsed = time.perf_counter() - t0
-    any_failed = any(not r.ok for r in responses)
-    any_unknown = any(r.verify_unknown_outputs for r in responses)
+    replies = [r.to_json_obj() for r in responses]
+    return _report_replies(
+        "batch", args, files, replies, elapsed,
+        cache_hits=sum(r["perf"].get("artifact_cache_hits", 0)
+                       for r in replies),
+        cache_misses=sum(r["perf"].get("artifact_cache_misses", 0)
+                         for r in replies),
+        cache=(service.cache.perf_snapshot()
+               if service.cache is not None else {}))
+
+
+def _report_replies(command, args, files, replies, elapsed, **extra) -> int:
+    """The end of ``batch`` and ``client``, over reply dicts aligned
+    with ``files``: write each ok reply's BLIF to ``--out-dir``, print a
+    line per file and the JSON (plus ``extra``) or text summary, and
+    return the exit code of ``_cmd_batch``'s docstring."""
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    for path, resp in zip(files, responses):
-        if args.out_dir and resp.ok and resp.blif is not None:
+    for path, reply in zip(files, replies):
+        status = reply.get("status", "failed")
+        if args.out_dir and status == "ok" and reply.get("blif") is not None:
             stem = os.path.splitext(os.path.basename(path))[0]
             with open(os.path.join(args.out_dir, stem + ".opt.blif"),
                       "w") as fh:
-                fh.write(resp.blif)
+                fh.write(reply["blif"])
         if not args.json:
-            note = "cached" if resp.cached else "%.2fs" % resp.elapsed
+            note = "cached" if reply.get("cached") \
+                else "%.2fs" % reply.get("elapsed", 0.0)
             print("%-40s %-9s %s%s"
-                  % (path, resp.status, note,
-                     " [%s]" % resp.error if resp.error else ""),
+                  % (path, status, note,
+                     " [%s]" % reply["error"] if reply.get("error") else ""),
                   file=sys.stderr)
-    hits = sum(r.perf.get("artifact_cache_hits", 0) for r in responses)
-    misses = sum(r.perf.get("artifact_cache_misses", 0) for r in responses)
+    ok = sum(r.get("status") == "ok" for r in replies)
     if args.json:
-        obj = {
-            "results": [{k: v for k, v in r.to_json_obj().items()
-                         if k != "blif"} for r in responses],
-            "files": files,
-            "elapsed_s": round(elapsed, 6),
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache": (service.cache.perf_snapshot()
-                      if service.cache is not None else {}),
-        }
+        obj = dict(extra, files=files, elapsed_s=round(elapsed, 6),
+                   results=[{k: v for k, v in r.items() if k != "blif"}
+                            for r in replies])
         print(json.dumps(obj, sort_keys=True))
     else:
-        print("batch: %d file(s) in %.2fs -- %d ok (%d cached), %d failed"
-              % (len(files), elapsed, sum(r.ok for r in responses),
-                 sum(r.cached for r in responses),
-                 sum(not r.ok for r in responses)), file=sys.stderr)
-    if any_failed:
+        print("%s: %d file(s) in %.2fs -- %d ok (%d cached), %d failed"
+              % (command, len(files), elapsed, ok,
+                 sum(bool(r.get("cached")) for r in replies),
+                 len(replies) - ok), file=sys.stderr)
+    if ok < len(replies):
         return 1
-    return 2 if any_unknown else 0
+    return 2 if any(r.get("verify_unknown_outputs") for r in replies) else 0
 
 
 def _cmd_serve(args) -> int:
@@ -374,47 +382,8 @@ def _cmd_client(args) -> int:
         print("client: %s" % exc, file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-    any_failed = False
-    any_unknown = False
-    for path, resp in zip(files, responses):
-        status = resp.get("status", "failed")
-        if status != "ok":
-            any_failed = True
-        if resp.get("verify_unknown_outputs"):
-            any_unknown = True
-        if args.out_dir and status == "ok" and resp.get("blif") is not None:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            with open(os.path.join(args.out_dir, stem + ".opt.blif"),
-                      "w") as fh:
-                fh.write(resp["blif"])
-        if not args.json:
-            note = "cached" if resp.get("cached") \
-                else "%.2fs" % resp.get("elapsed", 0.0)
-            print("%-40s %-9s %s%s"
-                  % (path, status, note,
-                     " [%s]" % resp["error"] if resp.get("error") else ""),
-                  file=sys.stderr)
-    if args.json:
-        obj = {
-            "results": [{k: v for k, v in r.items() if k != "blif"}
-                        for r in responses],
-            "files": files,
-            "elapsed_s": round(elapsed, 6),
-            "backpressure_retries": client.backpressure_seen,
-        }
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print("client: %d file(s) in %.2fs -- %d ok (%d cached), %d failed"
-              % (len(files), elapsed,
-                 sum(r.get("status") == "ok" for r in responses),
-                 sum(bool(r.get("cached")) for r in responses),
-                 sum(r.get("status") != "ok" for r in responses)),
-              file=sys.stderr)
-    if any_failed:
-        return 1
-    return 2 if any_unknown else 0
+    return _report_replies("client", args, files, responses, elapsed,
+                           backpressure_retries=client.backpressure_seen)
 
 
 def _cmd_lint(args) -> int:
@@ -463,11 +432,12 @@ def _cmd_lint(args) -> int:
 def _cmd_bench(args) -> int:
     """Run the standard flow bench set; optionally diff a baseline.
 
-    ``--compare BASELINE`` turns the run into a regression gate: exit 0
-    within tolerances, 1 on a regression (CPU beyond ``--cpu-tol``, or
-    any node/literal drift), 2 when the runs are not comparable (missing
-    circuits, broken counters).  Without ``--compare`` the payload is
-    written/printed and the exit is 0.
+    ``--compare BASELINE`` turns the run into a work gate: exit 0 when
+    nodes, literals and every counter, total and per phase, equal the
+    baseline's, 1 when one differs or is on one side only, 2 when the
+    runs are not comparable (schema drift, missing circuits, broken
+    counters).  Without ``--compare`` the payload is written/printed and
+    the exit is 0.
     """
     from repro.obs.regress import (DEFAULT_BENCH_CIRCUITS,
                                    collect_flow_payload, compare_payloads,
@@ -491,7 +461,7 @@ def _cmd_bench(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print("bench: cannot load baseline: %s" % exc, file=sys.stderr)
         return 2
-    report = compare_payloads(baseline, payload, cpu_tol=args.cpu_tol)
+    report = compare_payloads(baseline, payload)
     print(report.render())
     return report.exit_code()
 
@@ -662,10 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ben.add_argument("--compare", metavar="BASELINE",
                        help="diff against a baseline payload (the "
                             "BENCH_flow.json format); exit 0/1/2")
-    p_ben.add_argument("--cpu-tol", type=float, default=0.25,
-                       help="relative CPU tolerance for --compare "
-                            "(default 0.25; node/literal counts are "
-                            "always exact)")
     p_ben.set_defaults(func=_cmd_bench)
 
     p_srv = sub.add_parser("serve", help="JSON-lines optimization daemon "

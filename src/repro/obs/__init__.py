@@ -11,12 +11,13 @@ afterthought:
   gauges and histograms with explicit reset, surfaced by the ``stats``
   JSON-lines command and a Prometheus-style text dump from
   ``repro serve``.
-* :mod:`repro.obs.regress` -- the regression harness behind
-  ``repro bench --compare``: diffs a fresh run against committed
-  ``BENCH_*.json`` baselines with per-metric tolerances and exits 0/1/2.
+* :mod:`repro.obs.regress` -- the work gate behind
+  ``repro bench --compare``: a fresh run's nodes, literals and kernel
+  counters, total and per flow phase, must equal the committed
+  ``BENCH_flow.json`` exactly; exits 0/1/2.
 
 See ``docs/OBSERVABILITY.md`` for the span catalog, metric names and
-tolerance policy.
+the gate's rule.
 """
 
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
